@@ -2,7 +2,7 @@
 
 Subcommands: ``roots``, ``poincare``, ``check-odd``, ``verify-bundle``.
 Exit codes: 0 success, 2 input or precondition error, 3 verification
-failure, 4 enumeration budget exceeded.
+failure, 4 enumeration budget or recursion depth exceeded.
 """
 
 from __future__ import annotations
@@ -353,6 +353,10 @@ def main(argv=None) -> None:
         code = 3
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
+        code = 4
+    except RecursionError:
+        # the summand recursion is one Python frame per summand
+        sys.stderr.write("budget exceeded: recursion deeper than the interpreter allows\n")
         code = 4
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -23,10 +23,11 @@ from .linalg import (
     PrimeField,
     gaussian_binomial,
     image_rowspace,
+    intersect_rowspaces,
     mat_mul_rows,
     preimage_rowspace,
     quotient_map_rows,
-    rowspace_contains,
+    rowspace_leq,
     rref_rows,
     subspaces_between,
     sum_rowspaces,
@@ -168,7 +169,7 @@ class _Counter:
                 if chosen[t] is not None:
                     pre = preimage_rowspace(maps[a], chosen[t], dims[i], p)
                     up = _intersect_rref(up, pre, dims[i], p)
-            if len(up) < target[i] or not _rowspace_leq(low, up, p):
+            if len(up) < target[i] or not rowspace_leq(low, up, p):
                 return
             for sub in subspaces_between(low, up, target[i], p):
                 chosen[i] = sub
@@ -211,17 +212,11 @@ class _Counter:
         return qdims, tuple(qmaps)
 
 
-def _rowspace_leq(small, big, p):
-    return all(rowspace_contains(big, v, p) for v in small)
-
-
 def _intersect_rref(a, b, n, p):
     if len(a) == n:
         return b
     if len(b) == n:
         return a
-    from .linalg import intersect_rowspaces
-
     return intersect_rowspaces(a, b, n, p)
 
 

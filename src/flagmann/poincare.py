@@ -13,6 +13,7 @@ rigid representations in general).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -146,24 +147,21 @@ class StratumSplit:
 
 def stratum_rank(quiver: Quiver, quot_flag: FlagType, sub_flag: FlagType) -> int:
     """Affine-bundle rank of the stratum: sum over r < t of <wbar_r, vbar_t>,
-    with w the quotient-side flag type and v the sub-side one."""
+    with w the quotient-side flag type and v the sub-side one.
+
+    The sum over r < t of wbar_r is the step w_{t-1}, so the rank telescopes
+    to the sum over t >= 1 of <w_{t-1}, vbar_t>: d - 1 Euler-form values.
+    """
     if quot_flag.d != sub_flag.d:
         raise InputError("flag types of different lengths")
-    wbar = quot_flag.differences()
+    w = quot_flag.steps
     vbar = sub_flag.differences()
-    d = quot_flag.d
-    return sum(
-        euler_form(quiver, wbar[r], vbar[t]) for r in range(d - 1) for t in range(r + 1, d)
-    )
+    return sum(euler_form(quiver, w[t - 1], vbar[t]) for t in range(1, sub_flag.d))
 
 
 def rigid_dimension(quiver: Quiver, flag_type: FlagType) -> int:
     """Expected dimension of a nonempty flag variety of a rigid representation."""
-    vbar = flag_type.differences()
-    d = flag_type.d
-    return sum(
-        euler_form(quiver, vbar[r], vbar[t]) for r in range(d - 1) for t in range(r + 1, d)
-    )
+    return stratum_rank(quiver, flag_type, flag_type)
 
 
 @lru_cache(maxsize=200_000)
@@ -174,40 +172,47 @@ def enumerate_splittings(
 
     Both sides must be monotone; per step the admissible vectors form a box,
     walked lexicographically from the top step down for a deterministic order.
+    The rank is the telescoped sum of `stratum_rank`, one Euler-form term
+    <w_{r-1}, v_r - v_{r-1}> added per chosen step v_{r-1}.
     """
     sub_total = quiver.check_dim_vector(sub_total)
     quot_total = quiver.check_dim_vector(quot_total)
     if tuple(a + b for a, b in zip(sub_total, quot_total)) != u.weight:
         raise InputError("sub and quotient totals do not add up to the ambient weight")
-    d = u.d
     n = len(u.weight)
+    steps = u.steps
     ubar = u.differences()
+    arrows = quiver.arrow_indices
     out: list[StratumSplit] = []
 
-    def descend(r: int, above: DimVector, acc: list[DimVector]):
+    def descend(r: int, above: DimVector, rank: int, v_acc: list, w_acc: list):
+        # v_acc and w_acc hold the sub and quotient steps r..d-1, top step first
         if r == 0:
-            steps = tuple(reversed(acc))
-            v = FlagType(steps)
-            w = FlagType(
-                tuple(
-                    tuple(a - b for a, b in zip(us, vs)) for us, vs in zip(u.steps, steps)
-                )
-            )
-            out.append(StratumSplit(v, w, stratum_rank(quiver, w, v)))
+            v = FlagType(tuple(reversed(v_acc)))
+            w = FlagType(tuple(reversed(w_acc)))
+            out.append(StratumSplit(v, w, rank))
             return
+        below = steps[r - 1]
         ranges = []
         for i in range(n):
             lo = max(0, above[i] - ubar[r][i])
-            hi = min(u.steps[r - 1][i], above[i])
+            hi = min(below[i], above[i])
             if lo > hi:
                 return
             ranges.append(range(lo, hi + 1))
         for choice in product(*ranges):
-            acc.append(tuple(choice))
-            descend(r - 1, tuple(choice), acc)
-            acc.pop()
+            w_step = tuple(map(operator.sub, below, choice))
+            v_bar = tuple(map(operator.sub, above, choice))
+            term = sum(map(operator.mul, w_step, v_bar))
+            for s, t in arrows:
+                term -= w_step[s] * v_bar[t]
+            v_acc.append(choice)
+            w_acc.append(w_step)
+            descend(r - 1, choice, rank + term, v_acc, w_acc)
+            v_acc.pop()
+            w_acc.pop()
 
-    descend(d - 1, sub_total, [sub_total])
+    descend(u.d - 1, sub_total, 0, [sub_total], [quot_total])
     return tuple(out)
 
 

@@ -7,6 +7,7 @@ vertex order.  Zero entries are allowed everywhere: flag types need them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -73,17 +74,16 @@ class FlagType:
     steps: tuple[DimVector, ...]
 
     def __post_init__(self):
-        steps = tuple(tuple(int(x) for x in s) for s in self.steps)
+        steps = tuple([tuple(map(int, s)) for s in self.steps])
         object.__setattr__(self, "steps", steps)
         if not steps:
             raise InputError("a flag type needs at least one step")
-        width = len(steps[0])
-        if any(len(s) != width for s in steps):
+        if len(set(map(len, steps))) != 1:
             raise InputError("flag type steps have inconsistent lengths")
-        if any(x < 0 for s in steps for x in s):
+        if steps[0] and min(map(min, steps)) < 0:  # width 0 has no entries
             raise InputError("flag type entries must be nonnegative")
         for a, b in zip(steps, steps[1:]):
-            if any(x > y for x, y in zip(a, b)):
+            if any(map(operator.gt, a, b)):
                 raise InputError(f"flag type is not monotone: {a} > {b}")
 
     @property

@@ -153,6 +153,20 @@ class TestPoincare:
         assert code == 4
         assert "budget" in err
 
+    def test_deep_summand_recursion_exits_4(self, tmp_path, capsys):
+        quiver = tmp_path / "one.qv"
+        quiver.write_text("vertices: 1\n")
+        rep = tmp_path / "many.rep"
+        rep.write_text("summand: 1 x 1500\n")
+        code, out, err = run_cli(
+            ["poincare", "--quiver", str(quiver), "--rep", str(rep), "--flag", "1500"],
+            capsys,
+        )
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
     def test_deterministic_bytes(self, d4, tmp_path, capsys):
         rep = tmp_path / "high.rep"
         rep.write_text("summand: 1,2,1,1\n")

@@ -1,6 +1,9 @@
 """The polynomial engine: splittings, ranks, directed order, base cases,
 and oracle equivalence of the full recursion on small sweeps."""
 
+import random
+from itertools import product
+
 import pytest
 
 from flagmann import (
@@ -15,14 +18,23 @@ from flagmann import (
     directed_order,
     engine_for,
     enumerate_splittings,
+    euler_form,
     poincare,
     positive_roots,
     rigid_dimension,
     stratum_rank,
 )
 from flagmann.errors import BudgetExceededError, InputError
+from flagmann.quiver import flag_differences
 
-from helpers import flag_types_of, multisets_upto, quiver_a, quiver_d, quiver_e
+from helpers import (
+    all_orientations,
+    flag_types_of,
+    multisets_upto,
+    quiver_a,
+    quiver_d,
+    quiver_e,
+)
 
 A2 = quiver_a(2)
 ONE = Quiver(("x",), ())
@@ -87,6 +99,67 @@ class TestRigidDimension:
         assert rigid_dimension(A2, FlagType(((0, 1), (1, 1)))) == 0
 
 
+def _monotone(steps):
+    return all(x <= y for a, b in zip(steps, steps[1:]) for x, y in zip(a, b))
+
+
+def _reference_splittings(quiver, u, sub_total):
+    """Every (v, w, rank) with v + w = u step by step and v ending at
+    sub_total, both sides monotone, found by brute force and ordered from the
+    top step down; the rank is the double sum over r < t of <wbar_r, vbar_t>."""
+    boxes = [product(*(range(x + 1) for x in step)) for step in u.steps[:-1]]
+    out = []
+    for lower in product(*boxes):
+        v_steps = lower + (sub_total,)
+        w_steps = tuple(
+            tuple(a - b for a, b in zip(us, vs)) for us, vs in zip(u.steps, v_steps)
+        )
+        if min(min(s) for s in w_steps) < 0:
+            continue
+        if not (_monotone(v_steps) and _monotone(w_steps)):
+            continue
+        wbar = flag_differences(FlagType(w_steps))
+        vbar = flag_differences(FlagType(v_steps))
+        rank = sum(
+            euler_form(quiver, wbar[r], vbar[t])
+            for r in range(u.d - 1)
+            for t in range(r + 1, u.d)
+        )
+        out.append((v_steps, w_steps, rank))
+    out.sort(key=lambda split: split[0][-2::-1])
+    return out
+
+
+def _splitting_cases():
+    """(quiver, u, sub_total, quot_total) draws, seeded.
+
+    Every orientation of A3 and D4 with every weight of total <= 5 and
+    entries <= 3, three draws of a flag type and a sub/quotient cut for each
+    flag length 1..3; then 300 draws over random E6 orientations.
+    """
+    rng = random.Random(1909)
+
+    def flag(weight, d):
+        columns = [sorted(rng.randint(0, x) for _ in range(d - 1)) + [x] for x in weight]
+        return FlagType(tuple(zip(*columns)))
+
+    def case(quiver, weight, d):
+        sub_total = tuple(rng.randint(0, x) for x in weight)
+        quot_total = tuple(x - s for x, s in zip(weight, sub_total))
+        return quiver, flag(weight, d), sub_total, quot_total
+
+    for base in (quiver_a(3), quiver_d(4)):
+        for quiver in all_orientations(base):
+            for weight in product(range(4), repeat=quiver.n):
+                if sum(weight) <= 5:
+                    for d in (1, 2, 3) * 3:
+                        yield case(quiver, weight, d)
+    e6 = list(all_orientations(quiver_e(6)))
+    for _ in range(300):
+        weight = tuple(rng.randint(0, 2) for _ in range(6))
+        yield case(rng.choice(e6), weight, rng.randint(1, 3))
+
+
 class TestSplittings:
     def test_one_vertex_example(self):
         u = FlagType(((1,), (2,)))
@@ -107,10 +180,27 @@ class TestSplittings:
         assert splits[0].quot.steps == ((0, 0), (0, 0))
 
     def test_complement_and_monotone(self):
-        u = FlagType(((1, 1), (2, 1), (2, 2)))
-        for split in enumerate_splittings(A2, u, (1, 1), (1, 1)):
-            for vs, ws, us in zip(split.sub.steps, split.quot.steps, u.steps):
-                assert tuple(a + b for a, b in zip(vs, ws)) == us
+        cases = [(A2, FlagType(((1, 1), (2, 1), (2, 2))), (1, 1), (1, 1))]
+        for quiver, u, sub_total, quot_total in cases + list(_splitting_cases()):
+            for split in enumerate_splittings(quiver, u, sub_total, quot_total):
+                v, w = split.sub.steps, split.quot.steps
+                assert v[-1] == sub_total and w[-1] == quot_total
+                for vs, ws, us in zip(v, w, u.steps):
+                    assert tuple(a + b for a, b in zip(vs, ws)) == us
+                assert min(min(s) for s in v + w) >= 0
+                assert _monotone(v) and _monotone(w)
+
+    def test_same_splits_as_reference(self):
+        for quiver, u, sub_total, quot_total in _splitting_cases():
+            got = enumerate_splittings(quiver, u, sub_total, quot_total)
+            want = _reference_splittings(quiver, u, sub_total)
+            assert [(s.sub.steps, s.quot.steps, s.rank) for s in got] == want, (
+                quiver.arrows,
+                u.steps,
+                sub_total,
+            )
+            for split in got:
+                assert stratum_rank(quiver, split.quot, split.sub) == split.rank
 
     def test_bad_totals(self):
         with pytest.raises(InputError):

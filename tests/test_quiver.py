@@ -105,6 +105,23 @@ class TestFlagType:
         with pytest.raises(InputError):
             FlagType(((1, 0), (0, 1)))
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ((), "at least one step"),
+            (((1, 0), (1,)), "inconsistent lengths"),
+            (((-1, 0), (1,)), "inconsistent lengths"),
+            (((0, -1), (0, 1)), "nonnegative"),
+            (((0,), (-1,)), "nonnegative"),
+        ],
+    )
+    def test_malformed_steps_rejected(self, steps, message):
+        with pytest.raises(InputError, match=message):
+            FlagType(steps)
+
+    def test_entries_coerced_to_int(self):
+        assert FlagType((("0", 1), (True, 2))).steps == ((0, 1), (1, 2))
+
 
 class TestClassification:
     def test_paths_are_type_a(self):
