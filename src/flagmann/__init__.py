@@ -41,9 +41,6 @@ from .poincare import (
     PoincareEngine,
     PoincarePolynomial,
     StratumSplit,
-    base_case_rigid_interpolation,
-    base_case_type_a,
-    base_case_type_d,
     directed_order,
     engine_for,
     enumerate_splittings,
@@ -58,6 +55,7 @@ from .quiver import (
     classify_dynkin,
     euler_form,
     flag_differences,
+    flag_types,
     load_quiver,
     parse_flag_type,
     parse_quiver,

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 from .counting import count_strata
 from .errors import (
@@ -21,35 +22,17 @@ from .errors import (
 )
 from .extended import verify_fiber_rank
 from .linalg import PrimeField
-from .poincare import PoincareEngine, PoincarePolynomial
+from .poincare import PoincareEngine, PoincarePolynomial, engine_for
 from .quiver import (
     FlagType,
     Quiver,
     classify_dynkin,
+    flag_types,
     load_quiver,
     parse_flag_type,
-    parse_quiver,
     positive_roots,
 )
 from .reps import RootMultiset, build_rep, direct_sum, load_rep_spec
-
-
-def _flag_types_of_weight(weight, d):
-    """All monotone d-step flag types ending at `weight`, lexicographic."""
-    from itertools import product
-
-    weight = tuple(weight)
-
-    def chains(r, prev, acc):
-        if r == d - 1:
-            yield FlagType(tuple(acc) + (weight,))
-            return
-        for step in product(*(range(p, w + 1) for p, w in zip(prev, weight))):
-            acc.append(step)
-            yield from chains(r + 1, step, acc)
-            acc.pop()
-
-    yield from chains(0, tuple(0 for _ in weight), [])
 
 
 def _print(line: str) -> None:
@@ -134,15 +117,12 @@ def cmd_poincare(args) -> int:
     return 0
 
 
-def _campaign_instance(quiver: Quiver, root, steps, budget):
+def _campaign_instance(quiver: Quiver, root, flag: FlagType, budget):
     """One campaign row: compute the polynomial for a root and verify it."""
-    from .poincare import engine_for
-
     engine = engine_for(quiver, budget)
-    flag = FlagType(steps)
     row = {
         "root": list(root),
-        "flag_type": [list(s) for s in steps],
+        "flag_type": [list(s) for s in flag.steps],
         "coefficients": None,
         "status": "ok",
         "detail": "",
@@ -173,11 +153,6 @@ def _campaign_instance(quiver: Quiver, root, steps, budget):
     return row
 
 
-def _campaign_worker(packed):
-    quiver_text, root, steps, budget = packed
-    return _campaign_instance(parse_quiver(quiver_text), root, steps, budget)
-
-
 def cmd_check_odd(args) -> int:
     quiver = load_quiver(args.quiver)
     cls = classify_dynkin(quiver)
@@ -188,21 +163,17 @@ def cmd_check_odd(args) -> int:
         for r in positive_roots(quiver)
         if sum(r) <= args.max_dim and (args.max_entry is None or max(r) <= args.max_entry)
     ]
-    jobs = []
+    job_roots, job_flags = [], []
     for root in roots:
-        for d in range(1, args.d_max + 1):
-            for flag in _flag_types_of_weight(root, d):
-                jobs.append((root, flag.steps))
+        for flag in flag_types(root, args.d_max):
+            job_roots.append(root)
+            job_flags.append(flag)
+    jobs = (repeat(quiver), job_roots, job_flags, repeat(args.budget))
     if args.jobs > 1:
-        from .quiver import format_quiver
-
-        packed = [(format_quiver(quiver), root, steps, args.budget) for root, steps in jobs]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_campaign_worker, packed, chunksize=16))
+            rows = list(pool.map(_campaign_instance, *jobs, chunksize=16))
     else:
-        rows = [
-            _campaign_instance(quiver, root, steps, args.budget) for root, steps in jobs
-        ]
+        rows = list(map(_campaign_instance, *jobs))
     failures = sum(1 for row in rows if row["status"] == "fail")
     over_budget = sum(1 for row in rows if row["status"] == "budget")
     if args.json:
@@ -249,11 +220,6 @@ def cmd_verify_bundle(args) -> int:
     w_rep = build_rep(w_ms, field)
     if v_flag.weight != v_rep.dims or w_flag.weight != w_rep.dims:
         raise InputError("flag types do not end at the representation dimensions")
-    from .reps import ext1_dim
-
-    e = ext1_dim(w_rep, v_rep)
-    if e:
-        raise InputError(f"Ext^1(W, V) has dimension {e}, expected 0")
     report = verify_fiber_rank(
         v_rep, w_rep, v_flag, w_flag, samples=args.samples, seed=args.seed, budget=args.budget
     )

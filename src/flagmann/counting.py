@@ -24,16 +24,14 @@ from .linalg import (
     gaussian_binomial,
     image_rowspace,
     intersect_rowspaces,
-    mat_mul_rows,
     preimage_rowspace,
-    quotient_map_rows,
     rowspace_leq,
     rref_rows,
     subspaces_between,
     sum_rowspaces,
 )
-from .quiver import FlagType, Quiver
-from .reps import Representation
+from .quiver import FlagType, Quiver, flag_differences
+from .reps import Representation, is_subrepresentation, quotient_maps
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "FLAGMANN_BUDGET"
@@ -191,25 +189,10 @@ class _Counter:
             self.memo.clear()
         total = 0
         for sub in self.subreps(dims, maps, diffs[0]):
-            qdims, qmaps = self._quotient(dims, maps, sub)
+            qdims, qmaps = quotient_maps(self.arrows, dims, maps, sub, self.p)
             total += self.count(qdims, qmaps, diffs[1:])
         self.memo[key] = total
         return total
-
-    def _quotient(self, dims, maps, subspaces):
-        p = self.p
-        qmats = []
-        nonpivots = []
-        for i, basis in enumerate(subspaces):
-            qm, np = quotient_map_rows(basis, dims[i], p)
-            qmats.append(qm)
-            nonpivots.append(np)
-        qdims = tuple(len(np) for np in nonpivots)
-        qmaps = []
-        for a, (s, t) in enumerate(self.arrows):
-            lifted = tuple(tuple(row[c] for c in nonpivots[s]) for row in maps[a])
-            qmaps.append(mat_mul_rows(qmats[t], lifted, p))
-        return qdims, tuple(qmaps)
 
 
 def _intersect_rref(a, b, n, p):
@@ -234,12 +217,26 @@ def _counter(rep: Representation) -> _Counter:
     return ctr
 
 
-def clear_count_cache() -> None:
-    _counters.clear()
-
-
 def _raw_maps(rep: Representation) -> tuple:
     return tuple(m.entries for m in rep.arrow_maps)
+
+
+def _check_weight(rep: Representation, flag_type: FlagType) -> None:
+    if flag_type.weight != rep.dims:
+        raise InputError(
+            f"flag type of weight {flag_type.weight} inside dimensions {rep.dims}"
+        )
+
+
+def _check_budget(rep: Representation, flag_type: FlagType, budget: int | None) -> None:
+    """Reject a flag type of the wrong weight, then a search estimated over budget."""
+    _check_weight(rep, flag_type)
+    limit = resolve_budget(budget)
+    est = candidate_estimate(rep, flag_type)
+    if est > limit:
+        raise BudgetExceededError(
+            f"estimated {est} candidate tuples exceeds budget {limit}"
+        )
 
 
 def enumerate_subreps(
@@ -265,10 +262,7 @@ def enumerate_subreps(
 
 def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPoint]:
     """All flags of the given type in `rep`, as concrete subspace chains."""
-    if flag_type.weight != rep.dims:
-        raise InputError(
-            f"flag type of weight {flag_type.weight} inside dimensions {rep.dims}"
-        )
+    _check_weight(rep, flag_type)
     ctr = _counter(rep)
     maps = _raw_maps(rep)
     steps = flag_type.steps
@@ -287,19 +281,9 @@ def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPo
 
 def count_flags(rep: Representation, flag_type: FlagType, budget: int | None = None) -> int:
     """|F_u(V)(F_p)| by exhaustive chained enumeration (quotient form)."""
-    if flag_type.weight != rep.dims:
-        raise InputError(
-            f"flag type of weight {flag_type.weight} inside dimensions {rep.dims}"
-        )
-    limit = resolve_budget(budget)
-    est = candidate_estimate(rep, flag_type)
-    if est > limit:
-        raise BudgetExceededError(
-            f"estimated {est} candidate tuples exceeds budget {limit}"
-        )
+    _check_budget(rep, flag_type, budget)
     ctr = _counter(rep)
-    diffs = tuple(flag_type.differences())
-    return ctr.count(rep.dims, _raw_maps(rep), diffs)
+    return ctr.count(rep.dims, _raw_maps(rep), flag_differences(flag_type))
 
 
 def intersection_dims(point: FlagPoint, subspaces: tuple, p: int) -> tuple:
@@ -325,16 +309,9 @@ def stratum_counts(
 ) -> dict:
     """Counts of flags of `flag_type` grouped by the flag type of their
     intersection with the embedded subrepresentation `sub_spaces`."""
-    from .reps import is_subrepresentation
-
     if not is_subrepresentation(u_rep, sub_spaces):
         raise InputError("the distinguished subspaces are not a subrepresentation")
-    limit = resolve_budget(budget)
-    est = candidate_estimate(u_rep, flag_type)
-    if est > limit:
-        raise BudgetExceededError(
-            f"estimated {est} candidate tuples exceeds budget {limit}"
-        )
+    _check_budget(u_rep, flag_type, budget)
     p = u_rep.field.p
     canon = tuple(rref_rows(b, p)[0] for b in sub_spaces)
     out: dict = {}
@@ -354,6 +331,8 @@ def count_strata(
 ) -> int:
     """Number of flags of type `u` whose intersection flag with the embedded
     subrepresentation has type `v`.  Summing over all `v` recovers count_flags."""
+    if v.d != u.d or (w is not None and w.d != u.d):
+        raise InputError("flag types of different lengths")
     if w is not None:
         expect = tuple(
             tuple(a - b for a, b in zip(us, vs)) for us, vs in zip(u.steps, v.steps)
@@ -371,12 +350,7 @@ def sample_flags(
     budget: int | None = None,
 ) -> list[FlagPoint]:
     """Uniform sample (with replacement) from the full flag enumeration."""
-    limit = resolve_budget(budget)
-    est = candidate_estimate(rep, flag_type)
-    if est > limit:
-        raise BudgetExceededError(
-            f"estimated {est} candidate tuples exceeds budget {limit}"
-        )
+    _check_budget(rep, flag_type, budget)
     pool = list(enumerate_flags(rep, flag_type))
     if not pool:
         return []

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .counting import FlagPoint, count_flags, sample_flags
 from .errors import InputError
-from .linalg import Matrix, PrimeField, rref_rows
+from .linalg import Matrix, PrimeField, rowspace_contains, rref_rows
 from .quiver import FlagType, Quiver
 from .reps import (
     Representation,
@@ -151,8 +151,6 @@ def flag_subspaces(v_rep: Representation, point: FlagPoint) -> tuple:
                 raise InputError("flag subspace basis is not independent")
             row.append(red)
         canon.append(tuple(row))
-    from .linalg import rowspace_contains
-
     for prev, cur in zip(canon, canon[1:]):
         for i in range(n):
             if not all(rowspace_contains(cur[i], vec, p) for vec in prev[i]):

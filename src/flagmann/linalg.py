@@ -394,16 +394,8 @@ class Matrix:
         )
         return Matrix(self.field, self.nrows, self.ncols, rows)
 
-    def transpose(self) -> "Matrix":
-        rows = tuple(tuple(self.entries[r][c] for r in range(self.nrows)) for c in range(self.ncols))
-        return Matrix(self.field, self.ncols, self.nrows, rows)
-
     def rank(self) -> int:
         return rank_rows(self.entries, self.field.char)
-
-    def rref(self) -> "Matrix":
-        red, _ = rref_rows(self.entries, self.field.char)
-        return Matrix(self.field, len(red), self.ncols, red)
 
     def kernel_basis(self) -> tuple[tuple, ...]:
         """Basis of the right null space, as column vectors in RREF order."""

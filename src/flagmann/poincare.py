@@ -28,7 +28,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import QQ, PrimeField
-from .quiver import DimVector, FlagType, Quiver, classify_dynkin, euler_form
+from .quiver import DimVector, FlagType, Quiver, classify_dynkin, euler_form, flag_differences
 from .reps import RootMultiset, build_rep, ext1_dim, indecomposable_for_root
 
 
@@ -155,7 +155,7 @@ def stratum_rank(quiver: Quiver, quot_flag: FlagType, sub_flag: FlagType) -> int
     if quot_flag.d != sub_flag.d:
         raise InputError("flag types of different lengths")
     w = quot_flag.steps
-    vbar = sub_flag.differences()
+    vbar = flag_differences(sub_flag)
     return sum(euler_form(quiver, w[t - 1], vbar[t]) for t in range(1, sub_flag.d))
 
 
@@ -181,7 +181,7 @@ def enumerate_splittings(
         raise InputError("sub and quotient totals do not add up to the ambient weight")
     n = len(u.weight)
     steps = u.steps
-    ubar = u.differences()
+    ubar = flag_differences(u)
     arrows = quiver.arrow_indices
     out: list[StratumSplit] = []
 
@@ -308,7 +308,7 @@ class PoincareEngine:
 
     # -- base cases ----------------------------------------------------------
 
-    def base_case_type_a(self, root: DimVector, u: FlagType) -> PoincarePolynomial:
+    def _base_case_type_a(self, root: DimVector, u: FlagType) -> PoincarePolynomial:
         """Flag varieties of type-A indecomposables are empty or a point."""
         n2 = self._count_root(root, u, 2)
         if n2 not in (0, 1):
@@ -317,7 +317,7 @@ class PoincareEngine:
             )
         return PoincarePolynomial((n2,))
 
-    def base_case_type_d(self, root: DimVector, u: FlagType) -> PoincarePolynomial:
+    def _base_case_type_d(self, root: DimVector, u: FlagType) -> PoincarePolynomial:
         """Type-D indecomposables give empty, a point, or a product of lines.
 
         The number m of line factors is read off the count over F_2 (3^m) and
@@ -403,9 +403,9 @@ class PoincareEngine:
         hit = self._base.get(key)
         if hit is None:
             if self.dynkin.kind == "A":
-                hit = self.base_case_type_a(root, u)
+                hit = self._base_case_type_a(root, u)
             elif self.dynkin.kind == "D":
-                hit = self.base_case_type_d(root, u)
+                hit = self._base_case_type_d(root, u)
             else:
                 hit = self.base_case_rigid_interpolation(
                     RootMultiset(self.quiver, ((root, 1),)), u
@@ -468,23 +468,3 @@ def poincare(
     """Cell-count polynomial of the flag variety of type `u` in the
     representation described by `multiset`."""
     return engine_for(multiset.quiver, budget).poincare(multiset, u)
-
-
-def base_case_type_a(quiver: Quiver, root: DimVector, u: FlagType) -> PoincarePolynomial:
-    eng = engine_for(quiver)
-    if eng.dynkin.kind != "A":
-        raise InputError("type A base case on a non-A quiver")
-    return eng.base_case_type_a(root, u)
-
-
-def base_case_type_d(quiver: Quiver, root: DimVector, u: FlagType) -> PoincarePolynomial:
-    eng = engine_for(quiver)
-    if eng.dynkin.kind != "D":
-        raise InputError("type D base case on a non-D quiver")
-    return eng.base_case_type_d(root, u)
-
-
-def base_case_rigid_interpolation(
-    multiset: RootMultiset, u: FlagType, budget: int | None = None
-) -> PoincarePolynomial:
-    return engine_for(multiset.quiver).base_case_rigid_interpolation(multiset, u, budget)

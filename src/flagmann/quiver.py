@@ -10,6 +10,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
+from typing import Iterator
 
 from .errors import InputError, UnsupportedQuiverError
 
@@ -94,9 +96,6 @@ class FlagType:
     def weight(self) -> DimVector:
         return self.steps[-1]
 
-    def differences(self) -> tuple[DimVector, ...]:
-        return flag_differences(self)
-
 
 def flag_differences(flag_type: FlagType) -> tuple[DimVector, ...]:
     """Consecutive step differences; prefix sums reconstruct the flag type."""
@@ -105,6 +104,27 @@ def flag_differences(flag_type: FlagType) -> tuple[DimVector, ...]:
     for a, b in zip(steps, steps[1:]):
         out.append(tuple(y - x for x, y in zip(a, b)))
     return tuple(out)
+
+
+def flag_types(weight: DimVector, d_max: int) -> Iterator[FlagType]:
+    """Every flag type ending at `weight` with 1..d_max steps.
+
+    Ordered by the number of steps d, then lexicographically in the steps.
+    """
+    weight = tuple(weight)
+
+    def chains(r: int, prev: DimVector) -> Iterator[tuple[DimVector, ...]]:
+        # monotone chains of r steps between prev and weight
+        if r == 0:
+            yield ()
+            return
+        for step in product(*(range(p, w + 1) for p, w in zip(prev, weight))):
+            for rest in chains(r - 1, step):
+                yield (step,) + rest
+
+    for d in range(1, d_max + 1):
+        for lower in chains(d - 1, (0,) * len(weight)):
+            yield FlagType(lower + (weight,))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +311,17 @@ def parse_quiver(text: str) -> Quiver:
     return Quiver(vertices, tuple(arrows))
 
 
-def load_quiver(path) -> Quiver:
+def read_input(path, kind: str) -> str:
+    """The text of a UTF-8 input file; unreadable or undecodable is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_quiver(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read quiver file {path}: {exc}") from exc
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def load_quiver(path) -> Quiver:
+    return parse_quiver(read_input(path, "quiver"))
 
 
 def format_quiver(quiver: Quiver) -> str:
@@ -318,11 +343,3 @@ def parse_flag_type(text: str, quiver: Quiver) -> FlagType:
     """Semicolon-separated steps of comma-separated integers, e.g. ``0,1;1,1``."""
     steps = tuple(parse_dim_vector(part, quiver) for part in text.split(";"))
     return FlagType(steps)
-
-
-def format_dim_vector(v: DimVector) -> str:
-    return ",".join(str(x) for x in v)
-
-
-def format_flag_type(flag_type: FlagType) -> str:
-    return ";".join(format_dim_vector(s) for s in flag_type.steps)

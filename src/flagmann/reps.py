@@ -18,12 +18,22 @@ from .linalg import (
     Matrix,
     block_diag,
     mat_mul_rows,
+    null_space_rows,
+    quotient_map_rows,
+    rank_rows,
     reduce_vector,
     rowspace_contains,
     rref_rows,
-    quotient_map_rows,
 )
-from .quiver import DimVector, Quiver, euler_form, positive_roots
+from .quiver import (
+    DimVector,
+    Quiver,
+    _reflect,
+    _undirected_adjacency,
+    euler_form,
+    positive_roots,
+    read_input,
+)
 
 Subspaces = tuple  # per-vertex tuple of RREF row bases
 
@@ -48,19 +58,6 @@ class Representation:
                     f"arrow matrix shape {(m.nrows, m.ncols)} does not match "
                     f"dimensions {(dims[t], dims[s])}"
                 )
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    def key(self):
-        """Hashable identity used for memoization."""
-        return (
-            self.quiver,
-            self.field,
-            self.dims,
-            tuple(m.entries for m in self.arrow_maps),
-        )
 
 
 def zero_representation(quiver: Quiver, field: FieldSpec) -> Representation:
@@ -163,20 +160,8 @@ def parse_rep_spec(text: str, quiver: Quiver) -> RootMultiset:
     return RootMultiset(quiver, tuple(items))
 
 
-def format_rep_spec(multiset: RootMultiset) -> str:
-    lines = [
-        "summand: " + ",".join(str(x) for x in root) + f" x {mult}"
-        for root, mult in multiset.items
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def load_rep_spec(path, quiver: Quiver) -> RootMultiset:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_rep_spec(fh.read(), quiver)
-    except OSError as exc:
-        raise InputError(f"cannot read representation file {path}: {exc}") from exc
+    return parse_rep_spec(read_input(path, "representation"), quiver)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +205,6 @@ def hom_dim(w_rep: Representation, v_rep: Representation) -> int:
     if w_rep.quiver != v_rep.quiver or w_rep.field != v_rep.field:
         raise InputError("Hom needs matching quiver and field")
     rows, total, _ = _hom_system(w_rep, v_rep)
-    from .linalg import rank_rows
-
     return total - rank_rows(rows, v_rep.field.char)
 
 
@@ -230,8 +213,6 @@ def hom_space(w_rep: Representation, v_rep: Representation) -> tuple[tuple[Matri
     if w_rep.quiver != v_rep.quiver or w_rep.field != v_rep.field:
         raise InputError("Hom needs matching quiver and field")
     rows, total, offsets = _hom_system(w_rep, v_rep)
-    from .linalg import null_space_rows
-
     basis = null_space_rows(rows, total, v_rep.field.char)
     q = w_rep.quiver
     out = []
@@ -295,11 +276,6 @@ def _reverse_at(quiver: Quiver, idx: int) -> Quiver:
     return Quiver(quiver.vertices, arrows)
 
 
-def _simple_reflection(vec: DimVector, idx: int, adj) -> DimVector:
-    new = -vec[idx] + sum(adj[idx][j] * vec[j] for j in range(len(vec)) if j != idx)
-    return vec[:idx] + (new,) + vec[idx + 1 :]
-
-
 def _reflect_at_source(rep: Representation, idx: int) -> Representation:
     """Apply the source reflection at vertex `idx`, reversing its arrows.
 
@@ -351,8 +327,6 @@ def indecomposable_for_root(quiver: Quiver, root: DimVector, field: FieldSpec) -
     root = quiver.check_dim_vector(root)
     if root not in positive_roots(quiver):
         raise InputError(f"{root} is not a positive root of this quiver")
-    from .quiver import _undirected_adjacency
-
     adj = _undirected_adjacency(quiver)
     order = admissible_vertex_order(quiver)
     quivers = [quiver]
@@ -363,7 +337,7 @@ def indecomposable_for_root(quiver: Quiver, root: DimVector, field: FieldSpec) -
         if step > 10000:
             raise InternalConsistencyError("reflection walk did not terminate")
         i = order[step % quiver.n]
-        nxt = _simple_reflection(cur, i, adj)
+        nxt = _reflect(cur, i, adj)
         if any(x < 0 for x in nxt):
             if sum(cur) != 1 or cur[i] != 1:
                 raise InternalConsistencyError("reflection walk ended off a simple root")
@@ -443,26 +417,33 @@ def subrepresentation(rep: Representation, subspaces: Subspaces) -> Representati
     return Representation(rep.quiver, rep.field, dims, tuple(maps))
 
 
+def quotient_maps(arrow_indices, dims, maps, subspaces, p):
+    """Dimensions and raw arrow matrices of the quotient by arrow-stable RREF
+    subspaces, in complement coordinates.  No validation: the hot path of the
+    counting oracle."""
+    qmats = []
+    nonpivots = []
+    for n, basis in zip(dims, subspaces):
+        qm, np = quotient_map_rows(basis, n, p)
+        qmats.append(qm)
+        nonpivots.append(np)
+    qmaps = []
+    for (s, t), m in zip(arrow_indices, maps):
+        lifted = tuple(tuple(row[c] for c in nonpivots[s]) for row in m)
+        qmaps.append(mat_mul_rows(qmats[t], lifted, p))
+    return tuple(map(len, nonpivots)), tuple(qmaps)
+
+
 def quotient_representation(rep: Representation, subspaces: Subspaces) -> Representation:
     """The quotient by an arrow-stable tuple of subspaces, in complement coordinates."""
     subspaces = _canonical_subspaces(rep, subspaces)
     if not is_subrepresentation(rep, subspaces):
         raise InputError("subspaces are not arrow-stable")
-    p = rep.field.char
-    qmaps = []
-    nonpivots = []
-    for i, basis in enumerate(subspaces):
-        qm, np = quotient_map_rows(basis, rep.dims[i], p)
-        qmaps.append(qm)
-        nonpivots.append(np)
-    dims = tuple(len(np) for np in nonpivots)
-    maps = []
-    for (s, t), m in zip(rep.quiver.arrow_indices, rep.arrow_maps):
-        lifted = tuple(tuple(row[c] for c in nonpivots[s]) for row in m.entries)
-        entries = mat_mul_rows(qmaps[t], lifted, p)
-        if dims[t] == 0 or dims[s] == 0:
-            entries = tuple(() for _ in range(dims[t]))
-            maps.append(Matrix.zeros(rep.field, dims[t], dims[s]))
-        else:
-            maps.append(Matrix(rep.field, dims[t], dims[s], entries))
-    return Representation(rep.quiver, rep.field, dims, tuple(maps))
+    arrows = rep.quiver.arrow_indices
+    dims, entries = quotient_maps(
+        arrows, rep.dims, tuple(m.entries for m in rep.arrow_maps), subspaces, rep.field.char
+    )
+    maps = tuple(
+        Matrix(rep.field, dims[t], dims[s], e) for (s, t), e in zip(arrows, entries)
+    )
+    return Representation(rep.quiver, rep.field, dims, maps)

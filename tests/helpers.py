@@ -2,7 +2,7 @@
 
 from itertools import product
 
-from flagmann import FlagType, Quiver, RootMultiset
+from flagmann import Quiver, RootMultiset
 
 
 def quiver_a(n: int, directions=None) -> Quiver:
@@ -59,19 +59,3 @@ def multisets_upto(quiver, roots, max_entry: int, max_total: int):
 
     yield from rec(0, [], tuple(0 for _ in range(quiver.n)))
 
-
-def flag_types_of(weight, d_max: int):
-    """All monotone flag types of the given weight with at most d_max steps."""
-    weight = tuple(weight)
-    for d in range(1, d_max + 1):
-
-        def chains(r, prev, acc):
-            if r == d - 1:
-                yield FlagType(tuple(acc) + (weight,))
-                return
-            for step in product(*(range(p, w + 1) for p, w in zip(prev, weight))):
-                acc.append(step)
-                yield from chains(r + 1, step, acc)
-                acc.pop()
-
-        yield from chains(0, tuple(0 for _ in weight), [])

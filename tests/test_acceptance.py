@@ -19,6 +19,7 @@ from flagmann import (
     direct_sum,
     ext1_dim,
     euler_form,
+    flag_types,
     hom_dim,
     hom_dim_rep0,
     indecomposable_for_root,
@@ -31,7 +32,6 @@ from flagmann import (
 
 from helpers import (
     all_orientations,
-    flag_types_of,
     multisets_upto,
     quiver_a,
     quiver_d,
@@ -59,7 +59,7 @@ def test_criterion_1_oracle_equivalence():
         eng = engine(quiver)
         roots = positive_roots(quiver)
         for ms in multisets_upto(quiver, roots, 3, 6):
-            for u in flag_types_of(ms.total, 3):
+            for u in flag_types(ms.total, 3):
                 poly = eng.poincare(ms, u)
                 for q in (2, 3):
                     counted = eng.count(ms, u, q)
@@ -78,7 +78,7 @@ def test_criterion_2_type_a_classification():
         quiver = quiver_a(4, directions)
         eng = engine(quiver)
         for root in positive_roots(quiver):
-            for u in flag_types_of(root, 4):
+            for u in flag_types(root, 4):
                 poly = eng.base_case(root, u)
                 assert poly.coefficients in ((), (1,)), (root, u.steps, poly)
                 checked += 1
@@ -94,7 +94,7 @@ def test_criterion_3_type_d_classification():
         for root in positive_roots(quiver):
             if quiver.n == 5 and max(root) > 2:
                 continue  # D5 sweep restricted to entries <= 2 (all roots qualify)
-            for u in flag_types_of(root, d_max):
+            for u in flag_types(root, d_max):
                 poly = eng.base_case(root, u)
                 ms = RootMultiset(quiver, ((root, 1),))
                 n2, n3 = eng.count(ms, u, 2), eng.count(ms, u, 3)
@@ -177,7 +177,7 @@ def test_criterion_5_rigid_dimension():
         for ms in multisets_upto(quiver, roots, 3, 6):
             if not eng.multiset_is_rigid(ms):
                 continue
-            for u in flag_types_of(ms.total, 3):
+            for u in flag_types(ms.total, 3):
                 poly = eng.poincare(ms, u)
                 if poly.is_zero:
                     continue
@@ -200,7 +200,7 @@ def test_criterion_6_type_e_desk_scale():
     for root in positive_roots(quiver):
         if sum(root) > 8:
             continue
-        for u in flag_types_of(root, 2):
+        for u in flag_types(root, 2):
             ms = RootMultiset(quiver, ((root, 1),))
             try:
                 poly = eng.base_case_rigid_interpolation(ms, u)

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, JSON shape, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ A2_QUIVER = "vertices: 1 2\narrow: 1 -> 2\n"
 D4_QUIVER = (
     "vertices: 1 2 3 4\narrow: 1 -> 2\narrow: 3 -> 2\narrow: 4 -> 2\n"
 )
+A3_QUIVER = "vertices: 1 2 3\narrow: 1 -> 2\narrow: 3 -> 2\n"
 CYCLE_QUIVER = "vertices: 1 2 3\narrow: 1 -> 2\narrow: 2 -> 3\narrow: 3 -> 1\n"
 
 
@@ -64,6 +66,15 @@ class TestRoots:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run_cli(["roots", "--quiver", str(tmp_path / "nope.qv")], capsys)
         assert code == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.qv"
+        path.write_bytes(b"vertices: 1 2\xff\n")
+        code, out, err = run_cli(["roots", "--quiver", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: cannot read quiver file")
 
 
 class TestPoincare:
@@ -167,6 +178,18 @@ class TestPoincare:
         assert "Traceback" not in err
         assert err.startswith("budget exceeded: ") and err.count("\n") == 1
 
+    def test_non_utf8_rep_exits_2(self, a2, tmp_path, capsys):
+        rep = tmp_path / "bad.rep"
+        rep.write_bytes(b"summand: 1,1\xff\n")
+        code, out, err = run_cli(
+            ["poincare", "--quiver", str(a2), "--rep", str(rep), "--flag", "0,1;1,1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: cannot read representation file")
+
     def test_deterministic_bytes(self, d4, tmp_path, capsys):
         rep = tmp_path / "high.rep"
         rep.write_text("summand: 1,2,1,1\n")
@@ -219,6 +242,29 @@ class TestCheckOdd:
         assert code == 0
         data = json.loads(out)
         assert all(max(row["root"]) <= 1 for row in data["instances"])
+
+    @pytest.mark.parametrize(
+        "name, text, args, digest",
+        [
+            (
+                "d4.qv", D4_QUIVER, ["--max-dim", "5", "--d-max", "3"],
+                "6290313dba28561ca872a55491eff140a7f119df73a9a08f88d1e85fa484155b",
+            ),
+            (
+                "a3.qv", A3_QUIVER, ["--max-dim", "3", "--d-max", "3", "--json"],
+                "d7d76f4f3e8cc0fddd060d01faa79a59c100f8cedef78aa531dfb1d8496a93f5",
+            ),
+        ],
+        ids=["d4-text", "a3-json"],
+    )
+    def test_pinned_rows(self, name, text, args, digest, tmp_path, monkeypatch, capsys):
+        # stdout digests recorded before the flag-type generator moved into
+        # flagmann.quiver; they pin the row order and every row's bytes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        code, out, _ = run_cli(["check-odd", "--quiver", name] + args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_parallel_jobs_match_serial(self, a2, capsys):
         args = ["check-odd", "--quiver", str(a2), "--max-dim", "2", "--d-max", "2", "--json"]

@@ -15,6 +15,7 @@ from flagmann import (
     direct_sum,
     enumerate_flags,
     enumerate_subreps,
+    flag_types,
     indecomposable_for_root,
     positive_roots,
     sample_flags,
@@ -23,7 +24,7 @@ from flagmann import (
 from flagmann.counting import candidate_estimate, resolve_budget
 from flagmann.errors import BudgetExceededError, InputError
 
-from helpers import flag_types_of, multisets_upto, quiver_a, quiver_d
+from helpers import multisets_upto, quiver_a, quiver_d
 
 A2 = quiver_a(2)
 F2 = PrimeField(2)
@@ -97,7 +98,7 @@ class TestCountFlags:
             roots = positive_roots(quiver)
             for ms in multisets_upto(quiver, roots, 2, 4):
                 rep = build_rep(ms, F2)
-                for u in flag_types_of(ms.total, 3):
+                for u in flag_types(ms.total, 3):
                     assert count_flags(rep, u) == sum(1 for _ in enumerate_flags(rep, u))
 
     def test_flag_points_are_valid(self):
@@ -121,7 +122,7 @@ class TestStrata:
         w = indecomposable_for_root(quiver, (0, 1, 0, 1), F2)
         u_rep = direct_sum(v, w)
         sub = embedded_first_block(v, u_rep)
-        for u in flag_types_of(u_rep.dims, 2):
+        for u in flag_types(u_rep.dims, 2):
             table = stratum_counts(u_rep, sub, u)
             assert sum(table.values()) == count_flags(u_rep, u)
 
@@ -157,6 +158,19 @@ class TestStrata:
         assert count_strata(u_rep, sub, u, v, w_ok) == 2
         with pytest.raises(InputError):
             count_strata(u_rep, sub, u, v, FlagType(((0, 0), (1, 0))))
+
+    def test_step_count_mismatch(self):
+        p = indecomposable_for_root(A2, (1, 1), F2)
+        s1 = indecomposable_for_root(A2, (1, 0), F2)
+        u_rep = direct_sum(p, s1)
+        sub = embedded_first_block(p, u_rep)
+        u = FlagType(((0, 1), (1, 1), (2, 1)))
+        v = FlagType(((0, 1), (1, 1), (1, 1)))
+        assert count_strata(u_rep, sub, u, v, FlagType(((0, 0), (0, 0), (1, 0)))) == 1
+        with pytest.raises(InputError, match="different lengths"):
+            count_strata(u_rep, sub, u, FlagType(((1, 1),)))
+        with pytest.raises(InputError, match="different lengths"):
+            count_strata(u_rep, sub, u, v, FlagType(((1, 0),)))
 
 
 class TestBudget:

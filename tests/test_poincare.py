@@ -12,13 +12,11 @@ from flagmann import (
     PoincarePolynomial,
     Quiver,
     RootMultiset,
-    base_case_rigid_interpolation,
-    base_case_type_a,
-    base_case_type_d,
     directed_order,
     engine_for,
     enumerate_splittings,
     euler_form,
+    flag_types,
     poincare,
     positive_roots,
     rigid_dimension,
@@ -29,7 +27,6 @@ from flagmann.quiver import flag_differences
 
 from helpers import (
     all_orientations,
-    flag_types_of,
     multisets_upto,
     quiver_a,
     quiver_d,
@@ -236,49 +233,44 @@ class TestDirectedOrder:
 class TestBaseCases:
     def test_type_a_values(self):
         eng = engine_for(A2)
-        assert eng.base_case_type_a((1, 1), FlagType(((0, 1), (1, 1)))).coefficients == (1,)
-        assert eng.base_case_type_a((1, 1), FlagType(((1, 0), (1, 1)))).is_zero
+        assert eng.base_case((1, 1), FlagType(((0, 1), (1, 1)))).coefficients == (1,)
+        assert eng.base_case((1, 1), FlagType(((1, 0), (1, 1)))).is_zero
         one_a = engine_for(quiver_a(1))
-        assert one_a.base_case_type_a((1,), FlagType(((1,),))).coefficients == (1,)
-
-    def test_type_a_wrapper_rejects_wrong_type(self):
-        with pytest.raises(InputError):
-            base_case_type_a(quiver_d(4), (1, 1, 1, 0), FlagType(((1, 1, 1, 0),)))
+        assert one_a.base_case((1,), FlagType(((1,),))).coefficients == (1,)
 
     def test_type_d_values(self):
-        d4 = quiver_d(4)
+        d4 = engine_for(quiver_d(4))
         high = (1, 2, 1, 1)
         line_flag = FlagType(((0, 1, 0, 0), high))
-        assert base_case_type_d(d4, high, line_flag).coefficients == (1, 1)
-        assert base_case_type_d(d4, high, FlagType((high,))).coefficients == (1,)
+        assert d4.base_case(high, line_flag).coefficients == (1, 1)
+        assert d4.base_case(high, FlagType((high,))).coefficients == (1,)
         small = (1, 1, 0, 0)
-        assert base_case_type_d(
-            d4, small, FlagType(((0, 1, 0, 0), small))
-        ).coefficients == (1,)
+        assert d4.base_case(small, FlagType(((0, 1, 0, 0), small))).coefficients == (1,)
 
     def test_interpolation_matches_known_cases(self):
         ms = RootMultiset(ONE, (((1,), 2),))
         u = FlagType(((1,), (2,)))
-        assert base_case_rigid_interpolation(ms, u).coefficients == (1, 1)
+        assert engine_for(ONE).base_case_rigid_interpolation(ms, u).coefficients == (1, 1)
         d4 = quiver_d(4)
         msd = RootMultiset(d4, (((1, 2, 1, 1), 1),))
         ud = FlagType(((0, 1, 0, 0), (1, 2, 1, 1)))
-        assert base_case_rigid_interpolation(msd, ud).coefficients == (1, 1)
+        assert engine_for(d4).base_case_rigid_interpolation(msd, ud).coefficients == (1, 1)
 
     def test_interpolation_trivial_flag(self):
         ms = RootMultiset(ONE, (((1,), 3),))
-        assert base_case_rigid_interpolation(ms, FlagType(((3,),))).coefficients == (1,)
+        poly = engine_for(ONE).base_case_rigid_interpolation(ms, FlagType(((3,),)))
+        assert poly.coefficients == (1,)
 
     def test_interpolation_rejects_non_rigid(self):
         ms = RootMultiset(A2, (((1, 0), 1), ((0, 1), 1)))
         with pytest.raises(InputError):
-            base_case_rigid_interpolation(ms, FlagType(((1, 1),)))
+            engine_for(A2).base_case_rigid_interpolation(ms, FlagType(((1, 1),)))
 
     def test_interpolation_budget_names_instance(self):
         ms = RootMultiset(ONE, (((1,), 4),))
         u = FlagType(((1,), (2,), (3,), (4,)))
         with pytest.raises(BudgetExceededError, match="out of desk range"):
-            base_case_rigid_interpolation(ms, u, budget=2)
+            engine_for(ONE).base_case_rigid_interpolation(ms, u, budget=2)
 
 
 class TestPoincare:
@@ -314,7 +306,7 @@ class TestPoincare:
             eng = PoincareEngine(quiver)
             roots = positive_roots(quiver)
             for ms in multisets_upto(quiver, roots, 2, max_total):
-                for u in flag_types_of(ms.total, d_max):
+                for u in flag_types(ms.total, d_max):
                     poly = eng.poincare(ms, u)
                     for q in (2, 3, 5):
                         assert poly.evaluate(q) == eng.count(ms, u, q)
@@ -346,7 +338,7 @@ class TestPoincare:
         eng = PoincareEngine(quiver)
         roots = positive_roots(quiver)
         for ms in multisets_upto(quiver, roots, 2, 4):
-            for u in flag_types_of(ms.total, 2):
+            for u in flag_types(ms.total, 2):
                 poly = eng.poincare(ms, u)
                 assert all(c >= 0 for c in poly.coefficients)
                 if not poly.is_zero:
@@ -356,14 +348,14 @@ class TestPoincare:
         a4 = quiver_a(4)
         eng = PoincareEngine(a4)
         for root in positive_roots(a4):
-            for u in flag_types_of(root, 3):
+            for u in flag_types(root, 3):
                 poly = eng.base_case(root, u)
                 assert poly.coefficients in ((), (1,))
         d4 = quiver_d(4)
         engd = PoincareEngine(d4)
         binomials = {(), (1,), (1, 1), (1, 2, 1), (1, 3, 3, 1)}
         for root in positive_roots(d4):
-            for u in flag_types_of(root, 2):
+            for u in flag_types(root, 2):
                 poly = engd.base_case(root, u)
                 assert poly.coefficients in binomials
 
@@ -374,7 +366,7 @@ class TestPoincare:
         for ms in multisets_upto(quiver, roots, 2, 4):
             if not eng.multiset_is_rigid(ms):
                 continue
-            for u in flag_types_of(ms.total, 2):
+            for u in flag_types(ms.total, 2):
                 poly = eng.poincare(ms, u)
                 if not poly.is_zero:
                     assert poly.degree == rigid_dimension(quiver, u)
@@ -384,7 +376,7 @@ class TestPoincare:
         eng = PoincareEngine(e6)
         roots = positive_roots(e6)
         root = roots[6]  # a height-2 root
-        for u in flag_types_of(root, 2):
+        for u in flag_types(root, 2):
             poly = eng.base_case(root, u)
             assert all(c >= 0 for c in poly.coefficients)
             for q in (2, 3):

@@ -1,7 +1,9 @@
 """Quiver combinatorics: Euler form, flag types, Dynkin classification and
 positive roots checked against an independent quadratic-form oracle."""
 
+from collections import Counter
 from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -11,6 +13,7 @@ from flagmann import (
     classify_dynkin,
     euler_form,
     flag_differences,
+    flag_types,
     parse_flag_type,
     parse_quiver,
     positive_roots,
@@ -121,6 +124,31 @@ class TestFlagType:
 
     def test_entries_coerced_to_int(self):
         assert FlagType((("0", 1), (True, 2))).steps == ((0, 1), (1, 2))
+
+
+class TestFlagTypes:
+    WEIGHTS = [(), (0,), (3,), (0, 0), (2, 1), (1, 0, 2), (1, 2, 1, 1)]
+
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_count_per_length(self, weight):
+        # per vertex, the d - 1 lower steps are a weakly increasing sequence in 0..w
+        by_d = Counter(u.d for u in flag_types(weight, 4))
+        for d in range(1, 5):
+            assert by_d[d] == prod(comb(w + d - 1, d - 1) for w in weight)
+
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_order_and_weight(self, weight):
+        types = list(flag_types(weight, 3))
+        lengths = [u.d for u in types]
+        assert lengths == sorted(lengths)
+        for d in (1, 2, 3):
+            steps = [u.steps for u in types if u.d == d]
+            assert all(s[-1] == weight for s in steps)
+            assert all(a < b for a, b in zip(steps, steps[1:]))
+        assert types[0] == FlagType((weight,))
+
+    def test_no_steps_no_types(self):
+        assert list(flag_types((1, 1), 0)) == []
 
 
 class TestClassification:

@@ -271,6 +271,29 @@ class TestSubAndQuotient:
         with pytest.raises(InputError):
             quotient_representation(p, (((1,),), ()))
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+    def test_quotient_by_zero_and_by_everything(self, field):
+        d4 = quiver_d(4)
+        rep = build_rep(RootMultiset(d4, (((1, 2, 1, 1), 1), ((0, 1, 0, 1), 1))), field)
+        same = quotient_representation(rep, ((),) * d4.n)
+        assert same.dims == rep.dims
+        assert same.arrow_maps == rep.arrow_maps
+        full = tuple(
+            tuple(tuple(int(j == k) for j in range(n)) for k in range(n)) for n in rep.dims
+        )
+        zero = quotient_representation(rep, full)
+        assert zero.dims == (0, 0, 0, 0)
+        assert [(m.nrows, m.ncols, m.entries) for m in zero.arrow_maps] == [(0, 0, ())] * 3
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+    def test_quotient_with_one_zero_end(self, field):
+        # S1 + S2: the quotient by vertex 1 keeps a 1 x 0 map, by vertex 2 a 0 x 1 map
+        ss = rep_a2((1, 1), [[0]], field)
+        (m,) = quotient_representation(ss, (((1,),), ())).arrow_maps
+        assert (m.nrows, m.ncols, m.entries) == (1, 0, ((),))
+        (m,) = quotient_representation(ss, ((), ((1,),))).arrow_maps
+        assert (m.nrows, m.ncols, m.entries) == (0, 1, ())
+
 
 class TestAdmissibleOrder:
     def test_sinks_first(self):
