@@ -80,11 +80,6 @@ def cmd_poincare(args) -> int:
     quiver = load_quiver(args.quiver)
     multiset = load_rep_spec(args.rep, quiver)
     flag = parse_flag_type(args.flag, quiver)
-    if flag.weight != multiset.total:
-        raise InputError(
-            f"flag type ends at {flag.weight} but the representation has "
-            f"dimensions {multiset.total}"
-        )
     engine = PoincareEngine(quiver, args.budget)
     poly = engine.poincare(multiset, flag)
     verified = []
@@ -218,16 +213,8 @@ def cmd_verify_bundle(args) -> int:
     w_flag = parse_flag_type(args.w_flag, quiver)
     v_rep = build_rep(v_ms, field)
     w_rep = build_rep(w_ms, field)
-    if v_flag.weight != v_rep.dims or w_flag.weight != w_rep.dims:
-        raise InputError("flag types do not end at the representation dimensions")
     report = verify_fiber_rank(
         v_rep, w_rep, v_flag, w_flag, samples=args.samples, seed=args.seed, budget=args.budget
-    )
-    _print(f"rank: {report.expected_rank}")
-    _print(f"flags: {report.sub_flag_count} x {report.quot_flag_count} over F_{report.prime}")
-    _print(
-        "fiber dims: "
-        + (" ".join(str(x) for x in report.fiber_dims) if report.fiber_dims else "(none)")
     )
     # bundle identity over F_p: stratum count = q^rank * |F_v(V)| * |F_w(W)|
     u_rep = direct_sum(v_rep, w_rep)
@@ -246,6 +233,12 @@ def cmd_verify_bundle(args) -> int:
         args.prime**report.expected_rank
         * report.sub_flag_count
         * report.quot_flag_count
+    )
+    _print(f"rank: {report.expected_rank}")
+    _print(f"flags: {report.sub_flag_count} x {report.quot_flag_count} over F_{report.prime}")
+    _print(
+        "fiber dims: "
+        + (" ".join(str(x) for x in report.fiber_dims) if report.fiber_dims else "(none)")
     )
     _print(f"stratum count: {stratum}, bundle formula: {expected}")
     if not report.ok or stratum != expected:

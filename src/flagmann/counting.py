@@ -31,7 +31,7 @@ from .linalg import (
     sum_rowspaces,
 )
 from .quiver import FlagType, Quiver, flag_differences
-from .reps import Representation, is_subrepresentation, quotient_maps
+from .reps import Representation, canonical_subspaces, quotient_maps, subrep_subspaces
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "FLAGMANN_BUDGET"
@@ -252,11 +252,10 @@ def enumerate_subreps(
     """
     ctr = _counter(rep)
     target = rep.quiver.check_dim_vector(target)
-    p = rep.field.p
     if within is not None:
-        within = tuple(rref_rows(b, p)[0] for b in within)
+        within = canonical_subspaces(rep, within)
     if containing is not None:
-        containing = tuple(rref_rows(b, p)[0] for b in containing)
+        containing = canonical_subspaces(rep, containing)
     yield from ctr.subreps(rep.dims, _raw_maps(rep), target, within, containing)
 
 
@@ -309,11 +308,9 @@ def stratum_counts(
 ) -> dict:
     """Counts of flags of `flag_type` grouped by the flag type of their
     intersection with the embedded subrepresentation `sub_spaces`."""
-    if not is_subrepresentation(u_rep, sub_spaces):
-        raise InputError("the distinguished subspaces are not a subrepresentation")
+    canon = subrep_subspaces(u_rep, sub_spaces)
     _check_budget(u_rep, flag_type, budget)
     p = u_rep.field.p
-    canon = tuple(rref_rows(b, p)[0] for b in sub_spaces)
     out: dict = {}
     for point in enumerate_flags(u_rep, flag_type):
         key = intersection_dims(point, canon, p)
@@ -350,6 +347,8 @@ def sample_flags(
     budget: int | None = None,
 ) -> list[FlagPoint]:
     """Uniform sample (with replacement) from the full flag enumeration."""
+    if count < 0:
+        raise InputError(f"sample count must be >= 0, got {count}")
     _check_budget(rep, flag_type, budget)
     pool = list(enumerate_flags(rep, flag_type))
     if not pool:

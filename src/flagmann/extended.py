@@ -17,14 +17,14 @@ from functools import lru_cache
 
 from .counting import FlagPoint, count_flags, sample_flags
 from .errors import InputError
-from .linalg import Matrix, PrimeField, rowspace_contains, rref_rows
+from .linalg import Matrix, PrimeField, rowspace_contains
 from .quiver import FlagType, Quiver
 from .reps import (
     Representation,
     ext1_dim,
     hom_dim,
-    is_subrepresentation,
     quotient_representation,
+    subrep_subspaces,
     subrepresentation,
 )
 from .poincare import stratum_rank
@@ -131,52 +131,32 @@ def phi(v_rep: Representation, depth: int) -> Rep0Representation:
 def flag_subspaces(v_rep: Representation, point: FlagPoint) -> tuple:
     """The flag read as a subspace tuple over the extended quiver.
 
-    Validates inclusions, ambient dimensions and arrow stability; the result
-    indexes subspaces layer-major like the extended quiver's vertices.
+    Validates each step's bases and arrow stability, then the inclusions; the
+    result indexes subspaces layer-major like the extended quiver's vertices.
     """
     p = v_rep.field.char
-    n = v_rep.quiver.n
-    steps = point.steps
-    if any(len(step) != n for step in steps):
-        raise InputError("flag step width does not match the quiver")
-    canon = []
-    for step in steps:
-        row = []
-        for i, basis in enumerate(step):
-            basis = tuple(tuple(v_rep.field.coerce(x) for x in v) for v in basis)
-            if any(len(v) != v_rep.dims[i] for v in basis):
-                raise InputError("flag subspace has the wrong ambient dimension")
-            red, _ = rref_rows(basis, p)
-            if len(red) != len(basis):
-                raise InputError("flag subspace basis is not independent")
-            row.append(red)
-        canon.append(tuple(row))
+    canon = [subrep_subspaces(v_rep, step) for step in point.steps]
     for prev, cur in zip(canon, canon[1:]):
-        for i in range(n):
+        for i in range(v_rep.quiver.n):
             if not all(rowspace_contains(cur[i], vec, p) for vec in prev[i]):
                 raise InputError("flag steps are not nested")
     if tuple(len(b) for b in canon[-1]) != v_rep.dims:
         raise InputError("top flag step is not the whole representation")
-    for step in canon:
-        if not is_subrepresentation(v_rep, step):
-            raise InputError("a flag step is not arrow-stable")
     return tuple(basis for step in canon for basis in step)
 
 
 def flag_to_subrep(v_rep: Representation, point: FlagPoint) -> Rep0Representation:
     """The flag as a subrepresentation of the layer-constant embedding."""
-    ext = extend_quiver(v_rep.quiver, point.d)
     ambient = phi(v_rep, point.d)
     subs = flag_subspaces(v_rep, point)
-    return Rep0Representation(ext, subrepresentation(ambient.rep, subs))
+    return Rep0Representation(ambient.extended, subrepresentation(ambient.rep, subs))
 
 
 def quotient_by_flag(v_rep: Representation, point: FlagPoint) -> Rep0Representation:
     """The quotient of the layer-constant embedding by the flag subrepresentation."""
-    ext = extend_quiver(v_rep.quiver, point.d)
     ambient = phi(v_rep, point.d)
     subs = flag_subspaces(v_rep, point)
-    return Rep0Representation(ext, quotient_representation(ambient.rep, subs))
+    return Rep0Representation(ambient.extended, quotient_representation(ambient.rep, subs))
 
 
 def hom_dim_rep0(w0: Rep0Representation, v0: Rep0Representation) -> int:

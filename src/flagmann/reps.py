@@ -371,7 +371,9 @@ def build_rep(multiset: RootMultiset, field: FieldSpec) -> Representation:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_subspaces(rep: Representation, subspaces: Subspaces) -> Subspaces:
+def canonical_subspaces(rep: Representation, subspaces: Subspaces) -> Subspaces:
+    """One RREF basis per vertex, coerced into the field; rejects a wrong vertex
+    count, a wrong ambient width and a dependent basis."""
     p = rep.field.char
     if len(subspaces) != rep.quiver.n:
         raise InputError("one subspace per vertex required")
@@ -387,20 +389,31 @@ def _canonical_subspaces(rep: Representation, subspaces: Subspaces) -> Subspaces
     return tuple(out)
 
 
-def is_subrepresentation(rep: Representation, subspaces: Subspaces) -> bool:
-    """True iff every arrow map sends the source subspace into the target one."""
-    subspaces = _canonical_subspaces(rep, subspaces)
+def _is_stable(rep: Representation, canon: Subspaces) -> bool:
     p = rep.field.char
     for (s, t), m in zip(rep.quiver.arrow_indices, rep.arrow_maps):
-        for row in subspaces[s]:
-            if not rowspace_contains(subspaces[t], m.apply(row), p):
+        for row in canon[s]:
+            if not rowspace_contains(canon[t], m.apply(row), p):
                 return False
     return True
 
 
+def subrep_subspaces(rep: Representation, subspaces: Subspaces) -> Subspaces:
+    """The canonical bases of an arrow-stable subspace tuple; InputError otherwise."""
+    canon = canonical_subspaces(rep, subspaces)
+    if not _is_stable(rep, canon):
+        raise InputError("subspaces are not arrow-stable")
+    return canon
+
+
+def is_subrepresentation(rep: Representation, subspaces: Subspaces) -> bool:
+    """True iff every arrow map sends the source subspace into the target one."""
+    return _is_stable(rep, canonical_subspaces(rep, subspaces))
+
+
 def subrepresentation(rep: Representation, subspaces: Subspaces) -> Representation:
     """The subrepresentation carried by arrow-stable subspaces, in their bases."""
-    subspaces = _canonical_subspaces(rep, subspaces)
+    subspaces = canonical_subspaces(rep, subspaces)
     p = rep.field.char
     dims = tuple(len(b) for b in subspaces)
     maps = []
@@ -436,9 +449,7 @@ def quotient_maps(arrow_indices, dims, maps, subspaces, p):
 
 def quotient_representation(rep: Representation, subspaces: Subspaces) -> Representation:
     """The quotient by an arrow-stable tuple of subspaces, in complement coordinates."""
-    subspaces = _canonical_subspaces(rep, subspaces)
-    if not is_subrepresentation(rep, subspaces):
-        raise InputError("subspaces are not arrow-stable")
+    subspaces = subrep_subspaces(rep, subspaces)
     arrows = rep.quiver.arrow_indices
     dims, entries = quotient_maps(
         arrows, rep.dims, tuple(m.entries for m in rep.arrow_maps), subspaces, rep.field.char

@@ -273,6 +273,22 @@ class TestCheckOdd:
         assert serial == parallel
 
 
+def worked_bundle_args(a2, tmp_path, w_flag="1,0;1,0"):
+    """verify-bundle on the README example: V = P(1,1), W = S1 over A2."""
+    v = tmp_path / "p.rep"
+    v.write_text("summand: 1,1\n")
+    w = tmp_path / "s1.rep"
+    w.write_text("summand: 1,0\n")
+    return [
+        "verify-bundle",
+        "--quiver", str(a2),
+        "--v-rep", str(v),
+        "--w-rep", str(w),
+        "--v-flag", "0,1;1,1",
+        "--w-flag", w_flag,
+    ]
+
+
 class TestVerifyBundle:
     def test_worked_example(self, a2, tmp_path, capsys):
         v = tmp_path / "v.rep"
@@ -332,3 +348,27 @@ class TestVerifyBundle:
         )
         assert code == 0
         assert "rank: 0" in out
+
+    def test_weight_mismatch_exits_2(self, a2, tmp_path, capsys):
+        code, out, err = run_cli(worked_bundle_args(a2, tmp_path, w_flag="1,0;1,1"), capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_samples_exit_2(self, a2, tmp_path, capsys):
+        args = worked_bundle_args(a2, tmp_path)
+        code, out, err = run_cli(args + ["--samples", "-3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, _ = run_cli(args + ["--samples", "0"], capsys)
+        assert code == 0
+        assert "fiber dims: (none)" in out
+
+    def test_budget_exits_4_before_any_output(self, a2, tmp_path, capsys):
+        # the flag counts fit a budget of 1; the stratum count does not
+        code, out, err = run_cli(worked_bundle_args(a2, tmp_path) + ["--budget", "1"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1

@@ -70,6 +70,14 @@ class TestEnumerateSubreps:
         above = list(enumerate_subreps(w, (2, 2), containing=all_lines[0]))
         assert len(above) == 1  # only the whole representation
 
+    def test_malformed_bounds_rejected(self):
+        p = indecomposable_for_root(A2, (1, 1), F2)
+        for bound in ((((1, 0),), ((1,),)), (((1,),),), (((1,), (1,)), ((1,),))):
+            with pytest.raises(InputError):
+                list(enumerate_subreps(p, (1, 1), within=bound))
+            with pytest.raises(InputError):
+                list(enumerate_subreps(p, (1, 1), containing=bound))
+
     def test_yields_are_unique_and_deterministic(self):
         w = build_rep(RootMultiset(A2, (((1, 1), 1), ((0, 1), 1))), F3)
         first = list(enumerate_subreps(w, (1, 1)))
@@ -173,6 +181,21 @@ class TestStrata:
             count_strata(u_rep, sub, u, v, FlagType(((1, 0),)))
 
 
+    def test_sub_spaces_validated(self):
+        p = indecomposable_for_root(A2, (1, 1), F2)
+        s1 = indecomposable_for_root(A2, (1, 0), F2)
+        u_rep = direct_sum(p, s1)
+        u = FlagType(((1, 1), (2, 1)))
+        # the line at vertex 1 alone is not arrow-stable in P
+        with pytest.raises(InputError, match="not arrow-stable"):
+            stratum_counts(u_rep, (((1, 0),), ()), u)
+        with pytest.raises(InputError, match="not independent"):
+            stratum_counts(u_rep, (((1, 0), (1, 0)), ((1,),)), u)
+        # the same subspaces in a non-canonical basis give the same table
+        sub = embedded_first_block(p, u_rep)
+        assert stratum_counts(u_rep, sub, u) == stratum_counts(u_rep, (((1, 0),), ((3,),)), u)
+
+
 class TestBudget:
     def test_budget_error(self):
         rep = one_vertex_rep(3, F3)
@@ -200,6 +223,16 @@ class TestSampling:
         a = sample_flags(rep, u, 5, random.Random(0))
         b = sample_flags(rep, u, 5, random.Random(0))
         assert a == b
+
+    def test_negative_count_rejected(self):
+        rep = one_vertex_rep(2, F2)
+        u = FlagType(((1,), (2,)))
+        assert sample_flags(rep, u, 0, random.Random(0)) == []
+        with pytest.raises(InputError, match="sample count"):
+            sample_flags(rep, u, -3, random.Random(0))
+        # the count is checked before the budget gate
+        with pytest.raises(InputError, match="sample count"):
+            sample_flags(rep, u, -1, random.Random(0), budget=0)
 
     def test_empty_pool(self):
         p = indecomposable_for_root(A2, (1, 1), F2)

@@ -1,9 +1,12 @@
 """The layered picture: the extension construction, the layer-constant
 embedding, flags as subrepresentations, and the bundle-rank fiber check."""
 
+import hashlib
+
 import pytest
 
 from flagmann import (
+    FlagPoint,
     FlagType,
     Matrix,
     PrimeField,
@@ -14,6 +17,7 @@ from flagmann import (
     ext1_dim,
     extend_quiver,
     flag_to_subrep,
+    flag_types,
     hom_dim,
     hom_dim_rep0,
     hom_space,
@@ -108,11 +112,43 @@ class TestFlagToSubrep:
 
     def test_invalid_flag_rejected(self):
         p = indecomposable_for_root(A2, (1, 1), F2)
-        from flagmann import FlagPoint
+        cases = [
+            (((((1,),), ()), (((1,),), ((1,),))), "not arrow-stable"),  # step 1
+            (((((1,), (1,)), ((1,),)), (((1,),), ((1,),))), "not independent"),
+            (((((1, 0),), ((1,),)),), "wrong ambient dimension"),
+            (((((1,),),),), "one subspace per vertex"),
+            ((((), ((1,),)), ((), ())), "not nested"),
+            ((((), ((1,),)),), "top flag step"),
+        ]
+        for steps, message in cases:
+            with pytest.raises(InputError, match=message):
+                flag_subspaces(p, FlagPoint(steps))
 
-        bad = FlagPoint(((((1,),), ()), (((1,),), ((1,),))))  # step 1 not stable
-        with pytest.raises(InputError):
-            flag_subspaces(p, bad)
+    def test_pinned_matrices(self):
+        # sha256 of (dims, arrow-matrix entries) of the flag subrepresentation
+        # and the quotient for every flag with d <= 3, recorded before the
+        # subspace validation moved into flagmann.reps
+        cases = [
+            (A3, (((1, 1, 1), 1), ((0, 1, 0), 1))),
+            (quiver_a(3, [0, 1]), (((1, 1, 0), 1), ((0, 1, 1), 1))),
+            (quiver_d(4), (((1, 2, 1, 1), 1),)),
+            (quiver_d(4, [1, 0, 1]), (((0, 1, 1, 0), 1), ((0, 1, 0, 0), 1))),
+        ]
+        digest = hashlib.sha256()
+        flags = 0
+        for quiver, items in cases:
+            for field in (F2, F3):
+                rep = build_rep(RootMultiset(quiver, items), field)
+                for u in flag_types(rep.dims, 3):
+                    for point in enumerate_flags(rep, u):
+                        for r0 in (flag_to_subrep(rep, point), quotient_by_flag(rep, point)):
+                            entries = tuple(m.entries for m in r0.rep.arrow_maps)
+                            digest.update(repr((r0.rep.dims, entries)).encode())
+                        flags += 1
+        assert flags == 491
+        assert digest.hexdigest() == (
+            "738f59c2ead742349b7a9cf30efb3e6714c1fb514303e18d0a2f44fd98316557"
+        )
 
 
 class TestHomRep0:

@@ -268,8 +268,10 @@ class TestSubAndQuotient:
 
     def test_unstable_subspaces_rejected(self):
         p = rep_a2((1, 1), [[1]])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="not arrow-stable"):
             quotient_representation(p, (((1,),), ()))
+        with pytest.raises(InputError, match="not arrow-stable"):
+            subrepresentation(p, (((1,),), ()))
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
     def test_quotient_by_zero_and_by_everything(self, field):
