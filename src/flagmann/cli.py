@@ -125,10 +125,9 @@ def _campaign_instance(quiver: Quiver, root, flag: FlagType, budget):
     try:
         poly = engine.base_case(root, flag)
         row["coefficients"] = list(poly.coefficients)
+        ms = RootMultiset(quiver, ((root, 1),))
         for q in (2, 3):
-            counted = engine.count(
-                RootMultiset(quiver, ((root, 1),)), flag, q, budget
-            )
+            counted = engine.count(ms, flag, q, budget)
             if counted != poly.evaluate(q):
                 row["status"] = "fail"
                 row["detail"] = f"count {counted} != {poly.evaluate(q)} at q={q}"

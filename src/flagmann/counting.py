@@ -2,10 +2,14 @@
 over a prime field, straight from the definitions.
 
 A flag of type (u_1, ..., u_d) in V is a chain of arrow-stable subspace
-tuples of the prescribed dimensions.  Enumeration walks the chain bottom-up;
-the counting path additionally replaces "subspaces containing the previous
-step" by subrepresentations of the quotient, which keeps every search space
-as small as possible and makes memoization effective.
+tuples of the prescribed dimensions.  Enumeration walks the chain bottom-up
+and visits every point.  The counting path additionally replaces "subspaces
+containing the previous step" by subrepresentations of the quotient, which
+keeps every search space as small as possible and makes memoization
+effective.  Its last step is counted in closed form: once every vertex but
+the last one of the walk is fixed, the completions are the subspaces
+between two fixed ones at that vertex, a Gaussian binomial in number; every
+earlier step still walks each of its points.
 
 Everything here works over PrimeField representations only.
 """
@@ -99,11 +103,16 @@ class _Counter:
             self.neighbors[s].add(t)
             self.neighbors[t].add(s)
         self.memo: dict = {}
+        self.orders: dict = {}
 
     # -- vertex ordering -------------------------------------------------
 
     def _vertex_order(self, gap_counts: list[int]) -> list[int]:
         """Cheapest vertex first, then grow through the underlying graph."""
+        key = tuple(gap_counts)
+        order = self.orders.get(key)
+        if order is not None:
+            return order
         order = []
         chosen: set[int] = set()
         while len(order) < self.n:
@@ -117,11 +126,12 @@ class _Counter:
             best = min(frontier, key=lambda i: (gap_counts[i], i))
             order.append(best)
             chosen.add(best)
+        self.orders[key] = order
         return order
 
     # -- subrepresentation enumeration ------------------------------------
 
-    def subreps(
+    def intervals(
         self,
         dims: tuple[int, ...],
         maps: tuple,
@@ -129,12 +139,17 @@ class _Counter:
         within: tuple | None = None,
         containing: tuple | None = None,
     ) -> Iterator[tuple]:
-        """Arrow-stable subspace tuples of exact dimensions `target`.
+        """Fix every vertex but the last one of the walk order; yield
+        `(chosen, i, low, up)` for that last vertex `i`.
 
+        The arrow-stable completions of `chosen` are exactly the
+        `target[i]`-dimensional S with low <= S <= up at vertex `i`.
         `within` / `containing` are per-vertex RREF bases bounding the result
         from above and below.  Constraints from arrows propagate as image
         lower bounds and preimage upper bounds while the search walks the
-        vertices, so infeasible branches die early.
+        vertices, so infeasible branches die early.  `chosen` is the walk's
+        own list, with `chosen[i]` None; it is only valid until the next yield.
+        The quiver needs at least one vertex.
         """
         p = self.p
         uppers = list(within) if within is not None else [_full_basis(d) for d in dims]
@@ -147,12 +162,10 @@ class _Counter:
             for i in range(self.n)
         ]
         order = self._vertex_order(gap)
+        last = self.n - 1
         chosen: list[tuple | None] = [None] * self.n
 
         def walk(pos: int) -> Iterator[tuple]:
-            if pos == self.n:
-                yield tuple(chosen)
-                return
             i = order[pos]
             low = lowers[i]
             for a, s in self.in_arrows[i]:
@@ -169,6 +182,9 @@ class _Counter:
                     up = _intersect_rref(up, pre, dims[i], p)
             if len(up) < target[i] or not rowspace_leq(low, up, p):
                 return
+            if pos == last:
+                yield chosen, i, low, up
+                return
             for sub in subspaces_between(low, up, target[i], p):
                 chosen[i] = sub
                 yield from walk(pos + 1)
@@ -176,10 +192,33 @@ class _Counter:
 
         yield from walk(0)
 
+    def subreps(
+        self,
+        dims: tuple[int, ...],
+        maps: tuple,
+        target: tuple[int, ...],
+        within: tuple | None = None,
+        containing: tuple | None = None,
+    ) -> Iterator[tuple]:
+        """Arrow-stable subspace tuples of exact dimensions `target`, each
+        interval of `intervals` expanded in turn."""
+        if not self.n:
+            yield ()
+            return
+        for chosen, i, low, up in self.intervals(dims, maps, target, within, containing):
+            for sub in subspaces_between(low, up, target[i], self.p):
+                chosen[i] = sub
+                yield tuple(chosen)
+            chosen[i] = None
+
     # -- counting ----------------------------------------------------------
 
     def count(self, dims: tuple[int, ...], maps: tuple, diffs: tuple) -> int:
-        if len(diffs) <= 1:
+        """Flags with step differences `diffs`.  The last step is a Gaussian
+        binomial per interval: it only counts the subspaces between two fixed
+        ones, so no quotient is built for it.  With no vertices there is one
+        flag and nothing to walk."""
+        if len(diffs) <= 1 or not self.n:
             return 1
         key = (dims, maps, diffs)
         hit = self.memo.get(key)
@@ -187,10 +226,15 @@ class _Counter:
             return hit
         if len(self.memo) > 1_000_000:
             self.memo.clear()
+        k = diffs[0]
         total = 0
-        for sub in self.subreps(dims, maps, diffs[0]):
-            qdims, qmaps = quotient_maps(self.arrows, dims, maps, sub, self.p)
-            total += self.count(qdims, qmaps, diffs[1:])
+        if len(diffs) == 2:
+            for _, i, low, up in self.intervals(dims, maps, k):
+                total += gaussian_binomial(len(up) - len(low), k[i] - len(low), self.p)
+        else:
+            for sub in self.subreps(dims, maps, k):
+                qdims, qmaps = quotient_maps(self.arrows, dims, maps, sub, self.p)
+                total += self.count(qdims, qmaps, diffs[1:])
         self.memo[key] = total
         return total
 

@@ -134,6 +134,8 @@ def flag_subspaces(v_rep: Representation, point: FlagPoint) -> tuple:
     Validates each step's bases and arrow stability, then the inclusions; the
     result indexes subspaces layer-major like the extended quiver's vertices.
     """
+    if not point.steps:
+        raise InputError("depth must be >= 1, got 0")
     p = v_rep.field.char
     canon = [subrep_subspaces(v_rep, step) for step in point.steps]
     for prev, cur in zip(canon, canon[1:]):

@@ -1,6 +1,7 @@
 """The counting oracle: subrepresentation enumeration, flag counts, strata,
 the partition identity, budget guardrail and deterministic ordering."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from flagmann import (
     FlagType,
     PrimeField,
+    Quiver,
+    Representation,
     RootMultiset,
     build_rep,
     count_flags,
@@ -24,7 +27,7 @@ from flagmann import (
 from flagmann.counting import candidate_estimate, resolve_budget
 from flagmann.errors import BudgetExceededError, InputError
 
-from helpers import multisets_upto, quiver_a, quiver_d
+from helpers import multisets_upto, quiver_a, quiver_d, quiver_e
 
 A2 = quiver_a(2)
 F2 = PrimeField(2)
@@ -108,6 +111,83 @@ class TestCountFlags:
                 rep = build_rep(ms, F2)
                 for u in flag_types(ms.total, 3):
                     assert count_flags(rep, u) == sum(1 for _ in enumerate_flags(rep, u))
+
+    def test_random_counts_match_enumeration(self):
+        # seeded differential sweep beyond the fixed A2/A3 one: random
+        # orientations of A4, D4 and E6, random root multisets and flag types
+        rng = random.Random(20190)
+        shapes = (quiver_a(4), quiver_d(4), quiver_e(6))
+        cases = two_step = zero_vertex = 0
+        while cases < 300:
+            base = shapes[cases % 3]
+            quiver = Quiver(
+                base.vertices,
+                tuple((s, t) if rng.random() < 0.5 else (t, s) for s, t in base.arrows),
+            )
+            roots = positive_roots(quiver)
+            drawn = [rng.choice(roots) for _ in range(rng.randint(1, 4))]
+            ms = RootMultiset.from_roots(quiver, tuple(drawn))
+            d = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                # partial sums of the summands: never an empty variety
+                cuts = sorted(rng.randint(0, len(drawn)) for _ in range(d - 1))
+                zero = (0,) * quiver.n
+                steps = [tuple(map(sum, zip(zero, *drawn[:c]))) for c in cuts]
+                steps.append(ms.total)
+            else:
+                steps = [ms.total]
+                for _ in range(d - 1):
+                    steps.insert(0, tuple(rng.randint(0, x) for x in steps[0]))
+            u = FlagType(tuple(steps))
+            rep = build_rep(ms, PrimeField(rng.choice((2, 3, 5))))
+            # small enough to enumerate quickly, and far inside the default budget
+            if candidate_estimate(rep, u) > 20000:
+                continue
+            counted = count_flags(rep, u)
+            assert counted == sum(1 for _ in enumerate_flags(rep, u))
+            if d == 2:
+                assert counted == len(list(enumerate_subreps(rep, u.steps[0])))
+                two_step += 1
+            zero_vertex += 0 in ms.total
+            cases += 1
+        assert two_step >= 60 and zero_vertex >= 60
+
+    def test_width_zero_flags_are_one_point(self):
+        empty = Quiver((), ())
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            reps = (Representation(empty, field, (), ()), build_rep(RootMultiset(A2, ()), field))
+            for rep in reps:
+                zero = tuple(0 for _ in rep.dims)
+                assert list(enumerate_subreps(rep, zero)) == [tuple(() for _ in rep.dims)]
+                for d in (1, 2, 3):
+                    u = FlagType((zero,) * d)
+                    assert count_flags(rep, u) == 1
+                    assert len(list(enumerate_flags(rep, u))) == 1
+
+    def test_pinned_enumeration(self):
+        # sha256 of every enumerate_flags point in yield order, recorded before
+        # the oracle counted its last flag step in closed form; it pins the
+        # enumeration order and the points
+        cases = [
+            (quiver_a(3), (((1, 1, 1), 1), ((0, 1, 0), 1), ((1, 1, 0), 1))),
+            (quiver_a(3, [0, 1]), (((1, 1, 0), 1), ((0, 1, 1), 1), ((0, 1, 0), 1))),
+            (quiver_d(4), (((1, 2, 1, 1), 1), ((0, 1, 0, 0), 1))),
+            (quiver_d(4, [1, 0, 1]), (((1, 1, 1, 0), 1), ((0, 1, 0, 1), 1))),
+        ]
+        digest = hashlib.sha256()
+        points = 0
+        for quiver, items in cases:
+            for field in (F2, F3):
+                rep = build_rep(RootMultiset(quiver, items), field)
+                for u in flag_types(rep.dims, 3):
+                    for point in enumerate_flags(rep, u):
+                        digest.update(repr(point.steps).encode())
+                        points += 1
+        assert points == 2897
+        assert digest.hexdigest() == (
+            "3329c7d9f6542d89569886f2a0a6a70c6d6a55b13c1a68611e4077bf1ebb31dd"
+        )
 
     def test_flag_points_are_valid(self):
         rep = build_rep(RootMultiset(A2, (((1, 1), 1), ((1, 0), 1))), F2)

@@ -124,6 +124,12 @@ class TestFlagToSubrep:
             with pytest.raises(InputError, match=message):
                 flag_subspaces(p, FlagPoint(steps))
 
+    def test_empty_flag_rejected(self):
+        p = indecomposable_for_root(A2, (1, 1), F2)
+        for convert in (flag_subspaces, flag_to_subrep, quotient_by_flag):
+            with pytest.raises(InputError, match="depth must be >= 1, got 0"):
+                convert(p, FlagPoint(()))
+
     def test_pinned_matrices(self):
         # sha256 of (dims, arrow-matrix entries) of the flag subrepresentation
         # and the quotient for every flag with d <= 3, recorded before the
