@@ -35,7 +35,7 @@ from .linalg import (
     sum_rowspaces,
 )
 from .quiver import FlagType, Quiver, flag_differences
-from .reps import Representation, canonical_subspaces, quotient_maps, subrep_subspaces
+from .reps import Representation, canonical_subspaces, quotient_maps, raw_maps, subrep_subspaces
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "FLAGMANN_BUDGET"
@@ -180,7 +180,8 @@ class _Counter:
                 if chosen[t] is not None:
                     pre = preimage_rowspace(maps[a], chosen[t], dims[i], p)
                     up = _intersect_rref(up, pre, dims[i], p)
-            if len(up) < target[i] or not rowspace_leq(low, up, p):
+            # low <= up is trivially true when low is 0 or up is everything
+            if len(up) < target[i] or (low and len(up) < dims[i] and not rowspace_leq(low, up, p)):
                 return
             if pos == last:
                 yield chosen, i, low, up
@@ -261,10 +262,6 @@ def _counter(rep: Representation) -> _Counter:
     return ctr
 
 
-def _raw_maps(rep: Representation) -> tuple:
-    return tuple(m.entries for m in rep.arrow_maps)
-
-
 def _check_weight(rep: Representation, flag_type: FlagType) -> None:
     if flag_type.weight != rep.dims:
         raise InputError(
@@ -300,14 +297,14 @@ def enumerate_subreps(
         within = canonical_subspaces(rep, within)
     if containing is not None:
         containing = canonical_subspaces(rep, containing)
-    yield from ctr.subreps(rep.dims, _raw_maps(rep), target, within, containing)
+    yield from ctr.subreps(rep.dims, raw_maps(rep), target, within, containing)
 
 
 def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPoint]:
     """All flags of the given type in `rep`, as concrete subspace chains."""
     _check_weight(rep, flag_type)
     ctr = _counter(rep)
-    maps = _raw_maps(rep)
+    maps = raw_maps(rep)
     steps = flag_type.steps
 
     def chain(r: int, prev: tuple | None, acc: list) -> Iterator[FlagPoint]:
@@ -326,7 +323,7 @@ def count_flags(rep: Representation, flag_type: FlagType, budget: int | None = N
     """|F_u(V)(F_p)| by exhaustive chained enumeration (quotient form)."""
     _check_budget(rep, flag_type, budget)
     ctr = _counter(rep)
-    return ctr.count(rep.dims, _raw_maps(rep), flag_differences(flag_type))
+    return ctr.count(rep.dims, raw_maps(rep), flag_differences(flag_type))
 
 
 def intersection_dims(point: FlagPoint, subspaces: tuple, p: int) -> tuple:

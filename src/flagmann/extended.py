@@ -6,7 +6,9 @@ a flag in V becomes an honest subrepresentation of the layer-constant
 embedding of V, and where the fiber of a stratum over a pair of flags is a
 Hom space computable by exact linear algebra.  That computation is what this
 module provides, together with a sampling verifier for the bundle-rank
-formula.
+formula.  A flag conversion validates the flag once (`flag_subspaces`) and
+builds its sub and quotient from the embedding's raw matrices; only the
+result is wrapped, and its layer squares checked, as objects.
 """
 
 from __future__ import annotations
@@ -17,15 +19,17 @@ from functools import lru_cache
 
 from .counting import FlagPoint, count_flags, sample_flags
 from .errors import InputError
-from .linalg import Matrix, PrimeField, rowspace_contains
+from .linalg import Matrix, PrimeField, mat_mul_rows, rowspace_contains
 from .quiver import FlagType, Quiver
 from .reps import (
     Representation,
     ext1_dim,
+    from_raw_maps,
     hom_dim,
-    quotient_representation,
+    quotient_maps,
+    raw_maps,
+    sub_maps,
     subrep_subspaces,
-    subrepresentation,
 )
 from .poincare import stratum_rank
 
@@ -82,18 +86,7 @@ class Rep0Representation:
     def __post_init__(self):
         if self.rep.quiver != self.extended.quiver:
             raise InputError("representation does not live on the extended quiver")
-        ext = self.extended
-        for r in range(ext.depth - 1):
-            for a, (i, j) in enumerate(ext.base.arrow_indices):
-                top = self.rep.arrow_maps[ext.horizontal_position(r, a)]
-                bottom = self.rep.arrow_maps[ext.horizontal_position(r + 1, a)]
-                vert_i = self.rep.arrow_maps[ext.vertical_position(r, i)]
-                vert_j = self.rep.arrow_maps[ext.vertical_position(r, j)]
-                if vert_j * top != bottom * vert_i:
-                    raise InputError(
-                        f"layer square at arrow {ext.base.arrows[a]} between layers "
-                        f"{r + 1} and {r + 2} does not commute"
-                    )
+        _check_squares(self.extended, self.rep.dims, raw_maps(self.rep), self.rep.field.char)
 
     @property
     def depth(self) -> int:
@@ -113,19 +106,39 @@ class Rep0Representation:
         return self.rep.arrow_maps[self.extended.vertical_position(r, i)]
 
 
+def _check_squares(ext: ExtendedQuiver, dims: tuple, maps: tuple, p: int) -> None:
+    """Raise unless every layer square of the raw arrow matrices commutes."""
+
+    def product(a, b, ncols):
+        # an inner dimension 0 gives the zero matrix, as in Matrix.__mul__
+        return mat_mul_rows(a, b, p) if b else tuple((0,) * ncols for _ in a)
+
+    for r in range(ext.depth - 1):
+        for a, (i, j) in enumerate(ext.base.arrow_indices):
+            top = maps[ext.horizontal_position(r, a)]
+            bottom = maps[ext.horizontal_position(r + 1, a)]
+            vert_i = maps[ext.vertical_position(r, i)]
+            vert_j = maps[ext.vertical_position(r, j)]
+            ncols = dims[ext.vertex_position(i, r)]
+            if product(vert_j, top, ncols) != product(bottom, vert_i, ncols):
+                raise InputError(
+                    f"layer square at arrow {ext.base.arrows[a]} between layers "
+                    f"{r + 1} and {r + 2} does not commute"
+                )
+
+
+def _embedding(v_rep: Representation, depth: int) -> tuple:
+    """The layer-constant embedding as (extended quiver, dims, raw arrow
+    matrices): V's maps in every layer, identity verticals."""
+    ext = extend_quiver(v_rep.quiver, depth)
+    ids = tuple(Matrix.identity(v_rep.field, n).entries for n in v_rep.dims)
+    return ext, v_rep.dims * depth, raw_maps(v_rep) * depth + ids * (depth - 1)
+
+
 def phi(v_rep: Representation, depth: int) -> Rep0Representation:
     """Layer-constant embedding: every layer is V, verticals are identities."""
-    ext = extend_quiver(v_rep.quiver, depth)
-    dims = tuple(
-        v_rep.dims[i] for _ in range(depth) for i in range(v_rep.quiver.n)
-    )
-    maps = []
-    for _ in range(depth):
-        maps.extend(v_rep.arrow_maps)
-    for _ in range(depth - 1):
-        for i in range(v_rep.quiver.n):
-            maps.append(Matrix.identity(v_rep.field, v_rep.dims[i]))
-    return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, tuple(maps)))
+    ext, dims, maps = _embedding(v_rep, depth)
+    return Rep0Representation(ext, from_raw_maps(ext.quiver, v_rep.field, dims, maps))
 
 
 def flag_subspaces(v_rep: Representation, point: FlagPoint) -> tuple:
@@ -147,18 +160,26 @@ def flag_subspaces(v_rep: Representation, point: FlagPoint) -> tuple:
     return tuple(basis for step in canon for basis in step)
 
 
+def _checked_embedding(v_rep: Representation, point: FlagPoint) -> tuple:
+    """The raw embedding, its squares checked, and the flag's subspaces over it:
+    stable under horizontal arrows step by step, under verticals as they nest."""
+    ext, dims, maps = _embedding(v_rep, point.d)
+    _check_squares(ext, dims, maps, v_rep.field.char)
+    return ext, dims, maps, flag_subspaces(v_rep, point)
+
+
 def flag_to_subrep(v_rep: Representation, point: FlagPoint) -> Rep0Representation:
     """The flag as a subrepresentation of the layer-constant embedding."""
-    ambient = phi(v_rep, point.d)
-    subs = flag_subspaces(v_rep, point)
-    return Rep0Representation(ambient.extended, subrepresentation(ambient.rep, subs))
+    ext, _, maps, subs = _checked_embedding(v_rep, point)
+    dims, maps = sub_maps(ext.quiver.arrow_indices, maps, subs, v_rep.field.char)
+    return Rep0Representation(ext, from_raw_maps(ext.quiver, v_rep.field, dims, maps))
 
 
 def quotient_by_flag(v_rep: Representation, point: FlagPoint) -> Rep0Representation:
     """The quotient of the layer-constant embedding by the flag subrepresentation."""
-    ambient = phi(v_rep, point.d)
-    subs = flag_subspaces(v_rep, point)
-    return Rep0Representation(ambient.extended, quotient_representation(ambient.rep, subs))
+    ext, dims, maps, subs = _checked_embedding(v_rep, point)
+    dims, maps = quotient_maps(ext.quiver.arrow_indices, dims, maps, subs, v_rep.field.char)
+    return Rep0Representation(ext, from_raw_maps(ext.quiver, v_rep.field, dims, maps))
 
 
 def hom_dim_rep0(w0: Rep0Representation, v0: Rep0Representation) -> int:

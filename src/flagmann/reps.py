@@ -21,7 +21,6 @@ from .linalg import (
     null_space_rows,
     quotient_map_rows,
     rank_rows,
-    reduce_vector,
     rowspace_contains,
     rref_rows,
 )
@@ -58,6 +57,19 @@ class Representation:
                     f"arrow matrix shape {(m.nrows, m.ncols)} does not match "
                     f"dimensions {(dims[t], dims[s])}"
                 )
+
+
+def from_raw_maps(quiver: Quiver, field: FieldSpec, dims, maps) -> Representation:
+    """A validated representation from raw arrow matrices (target x source)."""
+    mats = tuple(
+        Matrix(field, dims[t], dims[s], m) for (s, t), m in zip(quiver.arrow_indices, maps)
+    )
+    return Representation(quiver, field, dims, mats)
+
+
+def raw_maps(rep: Representation) -> tuple:
+    """The arrow matrices' raw row tuples."""
+    return tuple(m.entries for m in rep.arrow_maps)
 
 
 def zero_representation(quiver: Quiver, field: FieldSpec) -> Representation:
@@ -411,23 +423,23 @@ def is_subrepresentation(rep: Representation, subspaces: Subspaces) -> bool:
     return _is_stable(rep, canonical_subspaces(rep, subspaces))
 
 
+def sub_maps(arrow_indices, maps, subspaces, p):
+    """Dimensions and raw arrow matrices of the subrepresentation on arrow-stable
+    RREF subspaces, in their bases: an image's coordinates are its entries at the
+    target basis's pivot columns.  No validation."""
+    pivots = [tuple(next(c for c, x in enumerate(row) if x) for row in b) for b in subspaces]
+    smaps = []
+    for (s, t), m in zip(arrow_indices, maps):
+        pivot_rows = tuple(m[c] for c in pivots[t])
+        smaps.append(mat_mul_rows(pivot_rows, tuple(zip(*subspaces[s])), p))
+    return tuple(map(len, subspaces)), tuple(smaps)
+
+
 def subrepresentation(rep: Representation, subspaces: Subspaces) -> Representation:
     """The subrepresentation carried by arrow-stable subspaces, in their bases."""
-    subspaces = canonical_subspaces(rep, subspaces)
-    p = rep.field.char
-    dims = tuple(len(b) for b in subspaces)
-    maps = []
-    for (s, t), m in zip(rep.quiver.arrow_indices, rep.arrow_maps):
-        pivots = tuple(next(i for i, x in enumerate(row) if x) for row in subspaces[t])
-        cols = []
-        for row in subspaces[s]:
-            img = m.apply(row)
-            if any(reduce_vector(img, subspaces[t], p)):
-                raise InputError("subspaces are not arrow-stable")
-            cols.append(tuple(img[c] for c in pivots))
-        entries = tuple(tuple(col[r] for col in cols) for r in range(dims[t]))
-        maps.append(Matrix(rep.field, dims[t], dims[s], entries))
-    return Representation(rep.quiver, rep.field, dims, tuple(maps))
+    subspaces = subrep_subspaces(rep, subspaces)
+    dims, maps = sub_maps(rep.quiver.arrow_indices, raw_maps(rep), subspaces, rep.field.char)
+    return from_raw_maps(rep.quiver, rep.field, dims, maps)
 
 
 def quotient_maps(arrow_indices, dims, maps, subspaces, p):
@@ -450,11 +462,7 @@ def quotient_maps(arrow_indices, dims, maps, subspaces, p):
 def quotient_representation(rep: Representation, subspaces: Subspaces) -> Representation:
     """The quotient by an arrow-stable tuple of subspaces, in complement coordinates."""
     subspaces = subrep_subspaces(rep, subspaces)
-    arrows = rep.quiver.arrow_indices
-    dims, entries = quotient_maps(
-        arrows, rep.dims, tuple(m.entries for m in rep.arrow_maps), subspaces, rep.field.char
+    dims, maps = quotient_maps(
+        rep.quiver.arrow_indices, rep.dims, raw_maps(rep), subspaces, rep.field.char
     )
-    maps = tuple(
-        Matrix(rep.field, dims[t], dims[s], e) for (s, t), e in zip(arrows, entries)
-    )
-    return Representation(rep.quiver, rep.field, dims, maps)
+    return from_raw_maps(rep.quiver, rep.field, dims, maps)

@@ -2,6 +2,8 @@
 embedding, flags as subrepresentations, and the bundle-rank fiber check."""
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +13,7 @@ from flagmann import (
     Matrix,
     PrimeField,
     QQ,
+    Representation,
     RootMultiset,
     build_rep,
     enumerate_flags,
@@ -25,12 +28,14 @@ from flagmann import (
     phi,
     positive_roots,
     quotient_by_flag,
+    quotient_representation,
+    subrepresentation,
     verify_fiber_rank,
 )
 from flagmann.errors import InputError
-from flagmann.extended import flag_subspaces
+from flagmann.extended import Rep0Representation, flag_subspaces
 
-from helpers import quiver_a, quiver_d
+from helpers import all_orientations, quiver_a, quiver_d
 
 A2 = quiver_a(2)
 A3 = quiver_a(3)
@@ -89,6 +94,40 @@ class TestPhi:
         bad = Representation(img.extended.quiver, QQ, img.rep.dims, tuple(maps))
         with pytest.raises(InputError):
             Rep0Representation(img.extended, bad)
+
+    @pytest.mark.parametrize(
+        "dims, zero_side",
+        [
+            # vertex 2 is 0 in layer 1: vert_2 * top has inner dimension 0
+            ((1, 0, 1, 1), "vert_j * top"),
+            # vertex 1 is 0 in layer 2: bottom * vert_1 has inner dimension 0
+            ((1, 1, 0, 1), "bottom * vert_i"),
+        ],
+    )
+    def test_square_with_zero_inner_dimension(self, dims, zero_side):
+        # A2 in two layers; the square commutes iff the product that does not
+        # pass through the zero space is 0
+        ext = extend_quiver(A2, 2)
+        top_pos, bottom_pos = ext.horizontal_position(0, 0), ext.horizontal_position(1, 0)
+        vi_pos, vj_pos = ext.vertical_position(0, 0), ext.vertical_position(0, 1)
+
+        def rep0(x, y):
+            maps = []
+            for pos, (s, t) in enumerate(ext.quiver.arrow_indices):
+                m = Matrix.zeros(QQ, dims[t], dims[s])
+                if zero_side == "vert_j * top" and pos in (bottom_pos, vi_pos):
+                    m = Matrix(QQ, 1, 1, ((Fraction(x if pos == bottom_pos else y),),))
+                if zero_side == "bottom * vert_i" and pos in (top_pos, vj_pos):
+                    m = Matrix(QQ, 1, 1, ((Fraction(x if pos == top_pos else y),),))
+                maps.append(m)
+            return Rep0Representation(ext, Representation(ext.quiver, QQ, dims, tuple(maps)))
+
+        rep0(1, 0)
+        rep0(0, 1)
+        with pytest.raises(
+            InputError, match=r"layer square at arrow \('1', '2'\) between layers 1 and 2"
+        ):
+            rep0(1, 1)
 
 
 class TestFlagToSubrep:
@@ -155,6 +194,71 @@ class TestFlagToSubrep:
         assert digest.hexdigest() == (
             "738f59c2ead742349b7a9cf30efb3e6714c1fb514303e18d0a2f44fd98316557"
         )
+
+
+def random_a4_d4(seed):
+    """A seeded direct sum of 1-3 indecomposables on a random A4 or D4
+    orientation, per-vertex dimension <= 2 and total <= 4."""
+    rng = random.Random(seed)
+    quiver = rng.choice(list(all_orientations(rng.choice([quiver_a(4), quiver_d(4)]))))
+    pool = list(positive_roots(quiver)) * 2
+    rng.shuffle(pool)
+    roots, total, size = [], (0,) * quiver.n, rng.randint(1, 3)
+    for root in pool:
+        new = tuple(a + b for a, b in zip(total, root))
+        if len(roots) < size and sum(new) <= 4 and max(new) <= 2:
+            roots.append(root)
+            total = new
+    return RootMultiset.from_roots(quiver, roots)
+
+
+class TestConversionsMatchReference:
+    """The raw conversions against the validated composition of `phi`,
+    `flag_subspaces` and `subrepresentation` / `quotient_representation`."""
+
+    @staticmethod
+    def check(rep, point):
+        ambient = phi(rep, point.d).rep
+        subs = flag_subspaces(rep, point)
+        sub = flag_to_subrep(rep, point).rep
+        assert sub == subrepresentation(ambient, subs)
+        assert quotient_by_flag(rep, point).rep == quotient_representation(ambient, subs)
+        # the inclusion is a morphism: each basis row's image is the
+        # combination of target basis rows that the sub's matrix names
+        for (s, t), m, sm in zip(ambient.quiver.arrow_indices, ambient.arrow_maps, sub.arrow_maps):
+            for c, row in enumerate(subs[s]):
+                combo = (
+                    sum(sm.entries[r][c] * subs[t][r][k] for r in range(len(subs[t])))
+                    for k in range(m.nrows)
+                )
+                assert m.apply(row) == tuple(rep.field.coerce(x) for x in combo)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_a4_d4_every_flag(self, seed):
+        ms = random_a4_d4(seed)
+        flags = 0
+        for field in (F2, F3):
+            rep = build_rep(ms, field)
+            for u in flag_types(rep.dims, 3):
+                for point in enumerate_flags(rep, u):
+                    self.check(rep, point)
+                    flags += 1
+        assert flags > 0
+
+    def test_hand_built_rationals_with_zero_steps(self):
+        # A2 with a non-integral map; bases given out of RREF
+        m = Matrix.from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
+        rep = Representation(A2, QQ, (2, 2), (m,))
+        line = (((2, 4),), ((Fraction(1, 3), 1),))  # M (1, 2) = (2, 6)
+        full = (((1, 0), (0, 1)), ((1, 0), (0, 1)))
+        points = [
+            (((), ()), line, full),
+            (((), ()), ((), ()), line, full),
+            (line, (((1, 2),), ((1, 0), (0, 1))), full),
+            (((), ()), full),
+        ]
+        for steps in points:
+            self.check(rep, FlagPoint(steps))
 
 
 class TestHomRep0:
