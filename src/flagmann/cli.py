@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from itertools import repeat
 
 from .counting import count_strata
@@ -228,10 +229,11 @@ def cmd_verify_bundle(args) -> int:
         for i in range(quiver.n)
     )
     stratum = count_strata(u_rep, embedded, u_flag, v_flag, w_flag, budget=args.budget)
+    # only an empty stratum can have a negative rank
     expected = (
-        args.prime**report.expected_rank
-        * report.sub_flag_count
-        * report.quot_flag_count
+        args.prime**report.expected_rank * report.sub_flag_count * report.quot_flag_count
+        if report.expected_rank >= 0
+        else 0
     )
     _print(f"rank: {report.expected_rank}")
     _print(f"flags: {report.sub_flag_count} x {report.quot_flag_count} over F_{report.prime}")
@@ -248,7 +250,9 @@ def cmd_verify_bundle(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="flagmann",
         description=(

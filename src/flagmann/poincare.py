@@ -9,6 +9,11 @@ varieties, so point counts multiply and pick up a power of q equal to the
 bundle rank.  Indecomposable base cases are settled by small finite-field
 counts (types A and D) or by polynomial interpolation of counts (type E and
 rigid representations in general).
+
+The recursion runs on raw step tuples and coefficient tuples.  Its input is
+validated once, as a `FlagType`; a `FlagType` is built again only for a base
+case computed for the first time, and the answer is wrapped into one
+`PoincarePolynomial`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
+from typing import NamedTuple
 
 from .counting import count_flags
 from .errors import (
@@ -71,30 +78,6 @@ class PoincarePolynomial:
             out = out * x + c
         return out
 
-    def __add__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return PoincarePolynomial(
-            tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a))
-        )
-
-    def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
-        if self.is_zero or other.is_zero:
-            return PoincarePolynomial.zero()
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return PoincarePolynomial(tuple(out))
-
-    def shifted(self, k: int) -> "PoincarePolynomial":
-        """Multiply by q^k."""
-        if self.is_zero:
-            return self
-        return PoincarePolynomial((0,) * k + self.coefficients)
-
     def factor_binomial(self) -> tuple[int, "PoincarePolynomial"]:
         """Largest m with (1+q)^m dividing self, plus the cofactor."""
         if self.is_zero:
@@ -136,12 +119,12 @@ class PoincarePolynomial:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class StratumSplit:
-    """A splitting of an ambient flag type across a sub/quotient pair."""
+class StratumSplit(NamedTuple):
+    """A splitting of an ambient flag type across a sub/quotient pair: the
+    sub-side and quotient-side steps and the stratum's bundle rank."""
 
-    sub: FlagType
-    quot: FlagType
+    sub: tuple[DimVector, ...]
+    quot: tuple[DimVector, ...]
     rank: int
 
 
@@ -166,36 +149,39 @@ def rigid_dimension(quiver: Quiver, flag_type: FlagType) -> int:
 
 @lru_cache(maxsize=200_000)
 def enumerate_splittings(
-    quiver: Quiver, u: FlagType, sub_total: DimVector, quot_total: DimVector
+    quiver: Quiver, steps: tuple[DimVector, ...], sub_total: DimVector, quot_total: DimVector
 ) -> tuple[StratumSplit, ...]:
-    """All flag-type pairs (v, w) with v + w = u, v ending at sub_total.
+    """All step pairs (v, w) with v + w = steps, v ending at sub_total.
 
-    Both sides must be monotone; per step the admissible vectors form a box,
-    walked lexicographically from the top step down for a deterministic order.
-    The rank is the telescoped sum of `stratum_rank`, one Euler-form term
-    <w_{r-1}, v_r - v_{r-1}> added per chosen step v_{r-1}.
+    `steps` are the steps of a `FlagType`, so they are not checked again; the
+    totals are.  Both sides must be monotone; per step the admissible vectors
+    form a box, walked lexicographically from the top step down for a
+    deterministic order.  The rank is the telescoped sum of `stratum_rank`,
+    one Euler-form term <w_{r-1}, v_r - v_{r-1}> added per chosen step v_{r-1}.
     """
-    sub_total = quiver.check_dim_vector(sub_total)
-    quot_total = quiver.check_dim_vector(quot_total)
-    if tuple(a + b for a, b in zip(sub_total, quot_total)) != u.weight:
-        raise InputError("sub and quotient totals do not add up to the ambient weight")
-    n = len(u.weight)
-    steps = u.steps
-    ubar = flag_differences(u)
+    n = quiver.n
+    if (
+        len(sub_total) != n
+        or len(quot_total) != n
+        or min(sub_total + quot_total, default=0) < 0
+        or tuple(map(operator.add, sub_total, quot_total)) != steps[-1]
+    ):
+        raise InputError(
+            f"sub and quotient totals must be nonnegative vectors of length {n} "
+            "adding up to the ambient weight"
+        )
     arrows = quiver.arrow_indices
     out: list[StratumSplit] = []
 
     def descend(r: int, above: DimVector, rank: int, v_acc: list, w_acc: list):
         # v_acc and w_acc hold the sub and quotient steps r..d-1, top step first
         if r == 0:
-            v = FlagType(tuple(reversed(v_acc)))
-            w = FlagType(tuple(reversed(w_acc)))
-            out.append(StratumSplit(v, w, rank))
+            out.append(StratumSplit(tuple(reversed(v_acc)), tuple(reversed(w_acc)), rank))
             return
-        below = steps[r - 1]
+        below, top = steps[r - 1], steps[r]
         ranges = []
         for i in range(n):
-            lo = max(0, above[i] - ubar[r][i])
+            lo = max(0, above[i] - top[i] + below[i])
             hi = min(below[i], above[i])
             if lo > hi:
                 return
@@ -212,7 +198,7 @@ def enumerate_splittings(
             v_acc.pop()
             w_acc.pop()
 
-    descend(u.d - 1, sub_total, 0, [sub_total], [quot_total])
+    descend(len(steps) - 1, sub_total, 0, [sub_total], [quot_total])
     return tuple(out)
 
 
@@ -297,6 +283,7 @@ class PoincareEngine:
         self.budget = budget
         self._poly: dict = {}
         self._base: dict = {}
+        self._orders: dict = {}
 
     # -- oracle hook -------------------------------------------------------
 
@@ -340,11 +327,7 @@ class PoincareEngine:
             raise InternalConsistencyError(
                 f"type D counts disagree: {n2} over F2 but {n3} over F3 for root {root}"
             )
-        poly = PoincarePolynomial.one()
-        line = PoincarePolynomial((1, 1))
-        for _ in range(m):
-            poly = poly * line
-        return poly
+        return PoincarePolynomial(tuple(comb(m, k) for k in range(m + 1)))  # (1+q)^m
 
     def base_case_rigid_interpolation(
         self, multiset: RootMultiset, u: FlagType, budget: int | None = None
@@ -422,32 +405,60 @@ class PoincareEngine:
             raise InputError(
                 f"flag type weight {u.weight} differs from total dimension {multiset.total}"
             )
-        order = {root: pos for pos, root in enumerate(directed_order(multiset))}
-        seq = tuple(sorted(multiset.expand(), key=lambda r: order[r]))
-        return self._poincare_seq(seq, u)
+        roots = tuple(root for root, _ in multiset.items)
+        order = self._orders.get(roots)
+        if order is None:
+            order = {root: pos for pos, root in enumerate(directed_order(multiset))}
+            self._orders[roots] = order
+        seq = tuple(sorted(multiset.expand(), key=order.__getitem__))
+        return PoincarePolynomial(self._poincare_seq(seq, u.steps))
 
-    def _poincare_seq(self, seq: tuple[DimVector, ...], u: FlagType) -> PoincarePolynomial:
+    def _base_coefficients(
+        self, root: DimVector, steps: tuple[DimVector, ...]
+    ) -> tuple[int, ...]:
+        hit = self._base.get((root, steps))
+        if hit is None:
+            hit = self.base_case(root, FlagType(steps))
+        return hit.coefficients
+
+    def _poincare_seq(
+        self, seq: tuple[DimVector, ...], steps: tuple[DimVector, ...]
+    ) -> tuple[int, ...]:
+        """Coefficients of the polynomial of the summands `seq`, in directed
+        order, for the flag type with these steps."""
         if not seq:
-            return PoincarePolynomial.one()  # weight 0 forces the empty flag
+            return (1,)  # weight 0 forces the empty flag
         if len(seq) == 1:
-            return self.base_case(seq[0], u)
-        key = (seq, u.steps)
+            return self._base_coefficients(seq[0], steps)
+        key = (seq, steps)
         hit = self._poly.get(key)
         if hit is not None:
             return hit
         head, rest = seq[0], seq[1:]
         rest_total = tuple(sum(r[i] for r in rest) for i in range(self.quiver.n))
-        total = PoincarePolynomial.zero()
-        for split in enumerate_splittings(self.quiver, u, rest_total, head):
-            p_sub = self._poincare_seq(rest, split.sub)
-            if p_sub.is_zero:
+        total: list[int] = []
+        for sub, quot, rank in enumerate_splittings(self.quiver, steps, rest_total, head):
+            p_sub = self._poincare_seq(rest, sub)
+            if not p_sub:
                 continue
-            p_quot = self.base_case(head, split.quot)
-            if p_quot.is_zero:
+            p_quot = self._base_coefficients(head, quot)
+            if not p_quot:
                 continue
-            total = total + (p_sub * p_quot).shifted(split.rank)
-        self._poly[key] = total
-        return total
+            if rank < 0:
+                raise InternalConsistencyError(
+                    f"nonempty stratum of negative rank {rank} for summands {seq}, flag {steps}"
+                )
+            # total += q^rank * p_sub * p_quot; base cases have nonnegative
+            # coefficients, so the top entry of the sum is never zero
+            top = rank + len(p_sub) + len(p_quot) - 1
+            if len(total) < top:
+                total += [0] * (top - len(total))
+            for i, a in enumerate(p_sub, rank):
+                if a:
+                    for j, b in enumerate(p_quot, i):
+                        total[j] += a * b
+        hit = self._poly[key] = tuple(total)
+        return hit
 
 
 _engines: dict = {}

@@ -2,7 +2,7 @@
 
 from itertools import product
 
-from flagmann import Quiver, RootMultiset
+from flagmann import FlagType, Quiver, RootMultiset, positive_roots
 
 
 def quiver_a(n: int, directions=None) -> Quiver:
@@ -59,3 +59,28 @@ def multisets_upto(quiver, roots, max_entry: int, max_total: int):
 
     yield from rec(0, [], tuple(0 for _ in range(quiver.n)))
 
+
+def random_instance(rng, base: Quiver):
+    """A random orientation of `base`, 1-4 random positive roots as a
+    multiset, and a flag type of 1-3 steps ending at their total: half the
+    time made of partial sums of the summands, half the time of random steps.
+    """
+    quiver = Quiver(
+        base.vertices,
+        tuple((s, t) if rng.random() < 0.5 else (t, s) for s, t in base.arrows),
+    )
+    roots = positive_roots(quiver)
+    drawn = [rng.choice(roots) for _ in range(rng.randint(1, 4))]
+    ms = RootMultiset.from_roots(quiver, tuple(drawn))
+    d = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        # partial sums of the summands: never an empty variety
+        cuts = sorted(rng.randint(0, len(drawn)) for _ in range(d - 1))
+        zero = (0,) * quiver.n
+        steps = [tuple(map(sum, zip(zero, *drawn[:c]))) for c in cuts]
+        steps.append(ms.total)
+    else:
+        steps = [ms.total]
+        for _ in range(d - 1):
+            steps.insert(0, tuple(rng.randint(0, x) for x in steps[0]))
+    return ms, FlagType(tuple(steps))

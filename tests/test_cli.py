@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flagmann
 from flagmann.cli import main
 
 A2_QUIVER = "vertices: 1 2\narrow: 1 -> 2\n"
@@ -289,7 +294,52 @@ def worked_bundle_args(a2, tmp_path, w_flag="1,0;1,0"):
     ]
 
 
+class TestRepeatedCalls:
+    def test_calls_in_one_process_match_fresh_processes(self, d4, tmp_path, monkeypatch, capsys):
+        # the parser is built once per process; a call must not depend on
+        # the calls made before it in the same process
+        rep = tmp_path / "d4.rep"
+        rep.write_text("summand: 1,1,1,1\nsummand: 0,1,0,0\n")
+        calls = [
+            ["poincare", "--quiver", str(d4), "--rep", str(rep), "--flag", "0,1,0,0;1,2,1,1"],
+            ["check-odd", "--quiver", str(d4), "--max-dim", "3", "--d-max", "2"],
+            ["check-odd", "--quiver", str(d4), "--max-dim", "many"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+        env = dict(os.environ, PYTHONPATH=str(Path(flagmann.__file__).parents[1]))
+        for args in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "flagmann.cli", *args],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert run_cli(args, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == 2 and "invalid int value" in fresh.stderr
+
+
 class TestVerifyBundle:
+    def test_empty_stratum_formula_is_integer(self, d4, tmp_path, capsys):
+        # the quotient-side flag variety is empty and the rank is -1
+        v = tmp_path / "v.rep"
+        v.write_text("summand: 1,1,1,1\nsummand: 0,1,0,0\n")
+        w = tmp_path / "w.rep"
+        w.write_text("summand: 1,1,0,0\n")
+        code, out, _ = run_cli(
+            [
+                "verify-bundle",
+                "--quiver", str(d4),
+                "--v-rep", str(v),
+                "--w-rep", str(w),
+                "--v-flag", "0,1,0,0;1,1,1,1;1,2,1,1",
+                "--w-flag", "0,0,0,0;1,0,0,0;1,1,0,0",
+                "--samples", "6",
+                "--prime", "3",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "rank: -1\n" in out
+        assert "stratum count: 0, bundle formula: 0\n" in out
+
     def test_worked_example(self, a2, tmp_path, capsys):
         v = tmp_path / "v.rep"
         v.write_text("summand: 1,1\n")

@@ -27,7 +27,7 @@ from flagmann import (
 from flagmann.counting import candidate_estimate, resolve_budget
 from flagmann.errors import BudgetExceededError, InputError
 
-from helpers import multisets_upto, quiver_a, quiver_d, quiver_e
+from helpers import multisets_upto, quiver_a, quiver_d, quiver_e, random_instance
 
 A2 = quiver_a(2)
 F2 = PrimeField(2)
@@ -119,33 +119,14 @@ class TestCountFlags:
         shapes = (quiver_a(4), quiver_d(4), quiver_e(6))
         cases = two_step = zero_vertex = 0
         while cases < 300:
-            base = shapes[cases % 3]
-            quiver = Quiver(
-                base.vertices,
-                tuple((s, t) if rng.random() < 0.5 else (t, s) for s, t in base.arrows),
-            )
-            roots = positive_roots(quiver)
-            drawn = [rng.choice(roots) for _ in range(rng.randint(1, 4))]
-            ms = RootMultiset.from_roots(quiver, tuple(drawn))
-            d = rng.randint(1, 3)
-            if rng.random() < 0.5:
-                # partial sums of the summands: never an empty variety
-                cuts = sorted(rng.randint(0, len(drawn)) for _ in range(d - 1))
-                zero = (0,) * quiver.n
-                steps = [tuple(map(sum, zip(zero, *drawn[:c]))) for c in cuts]
-                steps.append(ms.total)
-            else:
-                steps = [ms.total]
-                for _ in range(d - 1):
-                    steps.insert(0, tuple(rng.randint(0, x) for x in steps[0]))
-            u = FlagType(tuple(steps))
+            ms, u = random_instance(rng, shapes[cases % 3])
             rep = build_rep(ms, PrimeField(rng.choice((2, 3, 5))))
             # small enough to enumerate quickly, and far inside the default budget
             if candidate_estimate(rep, u) > 20000:
                 continue
             counted = count_flags(rep, u)
             assert counted == sum(1 for _ in enumerate_flags(rep, u))
-            if d == 2:
+            if u.d == 2:
                 assert counted == len(list(enumerate_subreps(rep, u.steps[0])))
                 two_step += 1
             zero_vertex += 0 in ms.total

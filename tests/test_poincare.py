@@ -10,8 +10,11 @@ from flagmann import (
     FlagType,
     PoincareEngine,
     PoincarePolynomial,
+    PrimeField,
     Quiver,
     RootMultiset,
+    build_rep,
+    count_flags,
     directed_order,
     engine_for,
     enumerate_splittings,
@@ -22,6 +25,7 @@ from flagmann import (
     rigid_dimension,
     stratum_rank,
 )
+from flagmann.counting import candidate_estimate
 from flagmann.errors import BudgetExceededError, InputError
 from flagmann.quiver import flag_differences
 
@@ -31,6 +35,7 @@ from helpers import (
     quiver_a,
     quiver_d,
     quiver_e,
+    random_instance,
 )
 
 A2 = quiver_a(2)
@@ -44,13 +49,11 @@ class TestPolynomial:
         assert PoincarePolynomial.zero().degree == -1
 
     def test_arithmetic(self):
-        a = PoincarePolynomial((1, 1))
-        b = PoincarePolynomial((1,))
-        assert (a + b).coefficients == (2, 1)
-        assert (a * a).coefficients == (1, 2, 1)
-        assert a.shifted(2).coefficients == (0, 0, 1, 1)
-        assert a.evaluate(3) == 4
-        assert (a * PoincarePolynomial.zero()).is_zero
+        # sums, products and shifts happen on coefficient tuples inside the
+        # recursion, checked by the oracle-equivalence tests below
+        assert PoincarePolynomial((1, 1)).evaluate(3) == 4
+        assert PoincarePolynomial((1, 2, 2, 1)).evaluate(2) == 21  # complete flags in F_2^3
+        assert PoincarePolynomial.zero().evaluate(5) == 0
 
     def test_factor_binomial(self):
         m, rest = PoincarePolynomial((1, 2, 1)).factor_binomial()
@@ -160,27 +163,27 @@ def _splitting_cases():
 class TestSplittings:
     def test_one_vertex_example(self):
         u = FlagType(((1,), (2,)))
-        splits = enumerate_splittings(ONE, u, (1,), (1,))
-        subs = sorted(s.sub.steps for s in splits)
+        splits = enumerate_splittings(ONE, u.steps, (1,), (1,))
+        subs = sorted(s.sub for s in splits)
         assert subs == [((0,), (1,)), ((1,), (1,))]
 
     def test_constant_flag_forces_constant_splits(self):
         u = FlagType(((1, 1), (1, 1)))
-        splits = enumerate_splittings(A2, u, (1, 0), (0, 1))
+        splits = enumerate_splittings(A2, u.steps, (1, 0), (0, 1))
         assert len(splits) == 1
-        assert splits[0].sub.steps == ((1, 0), (1, 0))
+        assert splits[0].sub == ((1, 0), (1, 0))
 
     def test_zero_quotient_single_split(self):
         u = FlagType(((0, 1), (1, 1)))
-        splits = enumerate_splittings(A2, u, (1, 1), (0, 0))
+        splits = enumerate_splittings(A2, u.steps, (1, 1), (0, 0))
         assert len(splits) == 1
-        assert splits[0].quot.steps == ((0, 0), (0, 0))
+        assert splits[0].quot == ((0, 0), (0, 0))
 
     def test_complement_and_monotone(self):
         cases = [(A2, FlagType(((1, 1), (2, 1), (2, 2))), (1, 1), (1, 1))]
         for quiver, u, sub_total, quot_total in cases + list(_splitting_cases()):
-            for split in enumerate_splittings(quiver, u, sub_total, quot_total):
-                v, w = split.sub.steps, split.quot.steps
+            for split in enumerate_splittings(quiver, u.steps, sub_total, quot_total):
+                v, w = split.sub, split.quot
                 assert v[-1] == sub_total and w[-1] == quot_total
                 for vs, ws, us in zip(v, w, u.steps):
                     assert tuple(a + b for a, b in zip(vs, ws)) == us
@@ -189,19 +192,27 @@ class TestSplittings:
 
     def test_same_splits_as_reference(self):
         for quiver, u, sub_total, quot_total in _splitting_cases():
-            got = enumerate_splittings(quiver, u, sub_total, quot_total)
+            got = enumerate_splittings(quiver, u.steps, sub_total, quot_total)
             want = _reference_splittings(quiver, u, sub_total)
-            assert [(s.sub.steps, s.quot.steps, s.rank) for s in got] == want, (
+            assert [(s.sub, s.quot, s.rank) for s in got] == want, (
                 quiver.arrows,
                 u.steps,
                 sub_total,
             )
             for split in got:
-                assert stratum_rank(quiver, split.quot, split.sub) == split.rank
+                rank = stratum_rank(quiver, FlagType(split.quot), FlagType(split.sub))
+                assert rank == split.rank
 
     def test_bad_totals(self):
-        with pytest.raises(InputError):
-            enumerate_splittings(A2, FlagType(((1, 1),)), (1, 0), (1, 0))
+        u = FlagType(((0, 1), (1, 1)))
+        for sub_total, quot_total in (
+            ((1, 0), (1, 0)),  # does not add up to the weight
+            ((2, 1), (-1, 0)),  # negative entry
+            ((1, 1, 0), (0, 0)),  # wrong length
+            ((0, 1), (1, 0, 0)),
+        ):
+            with pytest.raises(InputError):
+                enumerate_splittings(A2, u.steps, sub_total, quot_total)
 
 
 class TestDirectedOrder:
@@ -330,8 +341,31 @@ class TestPoincare:
             )
             if valid:
                 seqs += 1
-                assert eng._poincare_seq(perm, u) == reference
+                assert eng._poincare_seq(perm, u.steps) == reference.coefficients
         assert seqs >= 2
+
+    def test_random_quivers_match_counts(self):
+        # seeded differential sweep beyond the fixed A2/A3/D4 ones: random
+        # orientations of A4, A5, D5, D6 and E6, random root multisets and
+        # flag types, the recursion against the oracle at q = 2 and 3
+        rng = random.Random(2019)
+        shapes = (quiver_a(4), quiver_a(5), quiver_d(5), quiver_d(6), quiver_e(6))
+        cases = recursed = rigid = 0
+        while cases < 400:
+            ms, u = random_instance(rng, shapes[cases % 5])
+            reps = [build_rep(ms, PrimeField(q)) for q in (2, 3)]
+            # small enough to count quickly, and far inside the default budget
+            if candidate_estimate(reps[1], u) > 20000:
+                continue
+            poly = poincare(ms, u)
+            for q, rep in zip((2, 3), reps):
+                assert poly.evaluate(q) == count_flags(rep, u), (ms.quiver, ms.items, u.steps)
+            if not poly.is_zero and engine_for(ms.quiver).multiset_is_rigid(ms):
+                assert poly.degree == rigid_dimension(ms.quiver, u)
+                rigid += 1
+            recursed += len(ms.expand()) > 1 and not poly.is_zero
+            cases += 1
+        assert recursed >= 200 and rigid >= 100
 
     def test_nonnegative_and_constant_term(self):
         quiver = quiver_d(4)
