@@ -133,12 +133,6 @@ def _campaign_instance(quiver: Quiver, root, flag: FlagType, budget):
                 row["status"] = "fail"
                 row["detail"] = f"count {counted} != {poly.evaluate(q)} at q={q}"
                 return row
-        if any(c < 0 for c in poly.coefficients):
-            row["status"] = "fail"
-            row["detail"] = "negative coefficient"
-        elif not poly.is_zero and poly.coefficients[0] == 0:
-            row["status"] = "warn"
-            row["detail"] = "nonempty variety without a 0-cell"
     except BudgetExceededError as exc:
         row["status"] = "budget"
         row["detail"] = str(exc)

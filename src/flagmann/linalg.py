@@ -24,7 +24,7 @@ Row = tuple
 Rows = tuple
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < 4:
@@ -59,7 +59,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not (2 <= self.p < 2**31) or not _is_prime(self.p):
+        if not (2 <= self.p < 2**31) or not is_prime(self.p):
             raise InputError(f"PrimeField needs a prime < 2^31, got {self.p}")
 
     @property
@@ -293,7 +293,7 @@ def enumerate_subspaces(n: int, k: int, p: int) -> Iterator[Rows]:
     """Yield every k-dimensional subspace of F_p^n exactly once, as an RREF basis."""
     if not (0 <= k <= n):
         raise InputError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
     yield from _rref_bases(n, k, p)
 

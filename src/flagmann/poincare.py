@@ -6,9 +6,10 @@ the leading summand off as a quotient.  Flags of the total then stratify by
 the flag type of their intersection with the complementary subrepresentation;
 each stratum is an affine bundle over the product of the two smaller flag
 varieties, so point counts multiply and pick up a power of q equal to the
-bundle rank.  Indecomposable base cases are settled by small finite-field
-counts (types A and D) or by polynomial interpolation of counts (type E and
-rigid representations in general).
+bundle rank.  Indecomposable base cases are rigid, so a nonempty one is a
+palindromic polynomial 1 + c_1 q + ... + c_1 q^(D-1) + q^D of the expected
+dimension D; its middle coefficients are fitted to finite-field counts and
+checked at one held-out prime.
 
 The recursion runs on raw step tuples and coefficient tuples.  Its input is
 validated once, as a `FlagType`; a `FlagType` is built again only for a base
@@ -20,10 +21,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb
+from itertools import count, islice, product
 from typing import NamedTuple
 
 from .counting import count_flags
@@ -34,8 +33,8 @@ from .errors import (
     UnsupportedQuiverError,
     VerificationError,
 )
-from .linalg import QQ, PrimeField
-from .quiver import DimVector, FlagType, Quiver, classify_dynkin, euler_form, flag_differences
+from .linalg import QQ, PrimeField, is_prime, rref_rows
+from .quiver import DimVector, FlagType, Quiver, classify_dynkin
 from .reps import RootMultiset, build_rep, ext1_dim, indecomposable_for_root
 
 
@@ -128,6 +127,23 @@ class StratumSplit(NamedTuple):
     rank: int
 
 
+def _telescoped_rank(
+    quiver: Quiver, w: tuple[DimVector, ...], v: tuple[DimVector, ...]
+) -> int:
+    """Sum over t >= 1 of <w_{t-1}, v_t - v_{t-1}> on raw step tuples."""
+    n = quiver.n
+    if len(w[0]) != n or len(v[0]) != n:
+        raise InputError(f"flag type steps must have length {n}")
+    arrows = quiver.arrow_indices
+    total = 0
+    for w_prev, v_prev, v_next in zip(w, v, v[1:]):
+        v_bar = tuple(map(operator.sub, v_next, v_prev))
+        total += sum(map(operator.mul, w_prev, v_bar))
+        for s, t in arrows:
+            total -= w_prev[s] * v_bar[t]
+    return total
+
+
 def stratum_rank(quiver: Quiver, quot_flag: FlagType, sub_flag: FlagType) -> int:
     """Affine-bundle rank of the stratum: sum over r < t of <wbar_r, vbar_t>,
     with w the quotient-side flag type and v the sub-side one.
@@ -137,14 +153,12 @@ def stratum_rank(quiver: Quiver, quot_flag: FlagType, sub_flag: FlagType) -> int
     """
     if quot_flag.d != sub_flag.d:
         raise InputError("flag types of different lengths")
-    w = quot_flag.steps
-    vbar = flag_differences(sub_flag)
-    return sum(euler_form(quiver, w[t - 1], vbar[t]) for t in range(1, sub_flag.d))
+    return _telescoped_rank(quiver, quot_flag.steps, sub_flag.steps)
 
 
 def rigid_dimension(quiver: Quiver, flag_type: FlagType) -> int:
     """Expected dimension of a nonempty flag variety of a rigid representation."""
-    return stratum_rank(quiver, flag_type, flag_type)
+    return _telescoped_rank(quiver, flag_type.steps, flag_type.steps)
 
 
 @lru_cache(maxsize=200_000)
@@ -243,42 +257,12 @@ def directed_order(multiset: RootMultiset) -> tuple[DimVector, ...]:
     return tuple(placed)
 
 
-def _first_primes(k: int) -> list[int]:
-    out = []
-    cand = 2
-    while len(out) < k:
-        if all(cand % p for p in out):
-            out.append(cand)
-        cand += 1
-    return out
-
-
-def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Exact Lagrange interpolation through the given (x, y) points."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num  # multiply by x
-            for t in range(len(num) - 1):
-                num[t] -= xj * num[t + 1]
-            den *= xi - xj
-        scale = Fraction(yi) / den
-        for t, c in enumerate(num):
-            coeffs[t] += scale * c
-    return coeffs
-
-
 class PoincareEngine:
     """Shared caches for one Dynkin quiver: polynomials, base cases, counts."""
 
     def __init__(self, quiver: Quiver, budget: int | None = None):
         self.quiver = quiver
-        self.dynkin = classify_dynkin(quiver)
-        if not self.dynkin.is_dynkin:
+        if not classify_dynkin(quiver).is_dynkin:
             raise UnsupportedQuiverError("the recursion needs a Dynkin quiver")
         self.budget = budget
         self._poly: dict = {}
@@ -295,80 +279,66 @@ class PoincareEngine:
 
     # -- base cases ----------------------------------------------------------
 
-    def _base_case_type_a(self, root: DimVector, u: FlagType) -> PoincarePolynomial:
-        """Flag varieties of type-A indecomposables are empty or a point."""
-        n2 = self._count_root(root, u, 2)
-        if n2 not in (0, 1):
-            raise InternalConsistencyError(
-                f"type A count {n2} outside {{0,1}} for root {root}, flag {u.steps}"
-            )
-        return PoincarePolynomial((n2,))
-
-    def _base_case_type_d(self, root: DimVector, u: FlagType) -> PoincarePolynomial:
-        """Type-D indecomposables give empty, a point, or a product of lines.
-
-        The number m of line factors is read off the count over F_2 (3^m) and
-        cross-validated over F_3 (4^m).
-        """
-        n2 = self._count_root(root, u, 2)
-        if n2 == 0:
-            return PoincarePolynomial.zero()
-        m = 0
-        rest = n2
-        while rest % 3 == 0:
-            rest //= 3
-            m += 1
-        if rest != 1:
-            raise InternalConsistencyError(
-                f"type D count {n2} is not a power of 3 for root {root}, flag {u.steps}"
-            )
-        n3 = self._count_root(root, u, 3)
-        if n3 != 4**m:
-            raise InternalConsistencyError(
-                f"type D counts disagree: {n2} over F2 but {n3} over F3 for root {root}"
-            )
-        return PoincarePolynomial(tuple(comb(m, k) for k in range(m + 1)))  # (1+q)^m
-
     def base_case_rigid_interpolation(
         self, multiset: RootMultiset, u: FlagType, budget: int | None = None
     ) -> PoincarePolynomial:
-        """Interpolate the count polynomial of a rigid representation.
+        """Fit the count polynomial of a rigid representation.
 
-        Counts at the first D+2 primes, where D is the expected dimension; a
-        degree-D polynomial is fitted through the first D+1 and the last prime
-        plus integrality and nonnegativity act as consistency witnesses.
+        A nonempty flag variety of a rigid representation is smooth of the
+        expected dimension D and has a cell count with nonnegative
+        coefficients, so by Poincare duality it is palindromic:
+        1 + c_1 q + ... + c_1 q^(D-1) + q^D.  The count over F_2 decides
+        emptiness; the floor(D/2) free coefficients are solved exactly from
+        the counts at the first floor(D/2) primes, and the count at one more
+        prime (at F_3 too when nothing is solved) is a held-out witness.
         """
         if not self.multiset_is_rigid(multiset):
             raise InputError("interpolation base case needs a rigid representation")
-        dim = max(rigid_dimension(self.quiver, u), 0)
-        primes = _first_primes(dim + 2)
-        counts = []
-        for p in primes:
+
+        def counted(p: int) -> int:
             try:
-                counts.append(self.count(multiset, u, p, budget))
+                return self.count(multiset, u, p, budget)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(
                     f"base case out of desk range for summands {multiset.items}: {exc}"
                 ) from exc
-        coeffs = _interpolate(list(zip(primes[: dim + 1], counts[: dim + 1])))
-        if any(c.denominator != 1 for c in coeffs):
+
+        counts = [counted(2)]
+        if not counts[0]:
+            return PoincarePolynomial.zero()
+        dim = max(_telescoped_rank(self.quiver, u.steps, u.steps), 0)
+        half = dim // 2
+        primes = list(islice(filter(is_prime, count(2)), max(half, 1) + 1))
+        counts += map(counted, primes[1:])
+
+        def mirrored(k: int, p: int) -> int:  # q^k + q^(D-k), or q^k in the middle
+            return p**k + p ** (dim - k) if 2 * k < dim else p**k
+
+        rows = [
+            [mirrored(k, p) for k in range(1, half + 1)] + [n - mirrored(0, p)]
+            for p, n in zip(primes, counts[:half])
+        ]
+        solved, pivots = rref_rows(rows, 0)
+        if pivots != tuple(range(half)):
             raise VerificationError(
-                f"polynomial count violated: non-integer coefficients {coeffs} "
-                f"for summands {multiset.items}, flag {u.steps}"
+                f"palindromic fit is singular for summands {multiset.items}, flag {u.steps}"
             )
-        ints = [int(c) for c in coeffs]
-        if any(c < 0 for c in ints):
+        fit = [1] + [row[-1] for row in solved]
+        if any(c.denominator != 1 or c < 0 for c in fit):
             raise VerificationError(
-                f"polynomial count violated: negative coefficients {ints} "
-                f"for summands {multiset.items}, flag {u.steps}"
+                f"palindromic fit {' '.join(map(str, fit))} is not a nonnegative "
+                f"integer polynomial for summands {multiset.items}, flag {u.steps}"
             )
-        poly = PoincarePolynomial(tuple(ints))
-        extra = primes[dim + 1]
-        if poly.evaluate(extra) != counts[dim + 1]:
-            raise VerificationError(
-                f"polynomial count violated: witness prime {extra} expected "
-                f"{poly.evaluate(extra)}, counted {counts[dim + 1]}"
-            )
+        coeffs = [0] * (dim + 1)
+        for k, c in enumerate(fit):
+            coeffs[k] = coeffs[dim - k] = int(c)
+        poly = PoincarePolynomial(tuple(coeffs))
+        for p, n in zip(primes, counts):
+            if poly.evaluate(p) != n:
+                raise VerificationError(
+                    f"palindromic fit {coeffs} gives {poly.evaluate(p)} at q = {p}, "
+                    f"counted {n} for summands {multiset.items}, flag {u.steps}"
+                )
         return poly
 
     def multiset_is_rigid(self, multiset: RootMultiset) -> bool:
@@ -377,23 +347,13 @@ class PoincareEngine:
             _ext1_roots(self.quiver, a, b) == 0 for a in roots for b in roots
         )
 
-    def _count_root(self, root: DimVector, u: FlagType, q: int) -> int:
-        ms = RootMultiset(self.quiver, ((root, 1),))
-        return self.count(ms, u, q)
-
     def base_case(self, root: DimVector, u: FlagType) -> PoincarePolynomial:
         key = (root, u.steps)
         hit = self._base.get(key)
         if hit is None:
-            if self.dynkin.kind == "A":
-                hit = self._base_case_type_a(root, u)
-            elif self.dynkin.kind == "D":
-                hit = self._base_case_type_d(root, u)
-            else:
-                hit = self.base_case_rigid_interpolation(
-                    RootMultiset(self.quiver, ((root, 1),)), u
-                )
-            self._base[key] = hit
+            hit = self._base[key] = self.base_case_rigid_interpolation(
+                RootMultiset(self.quiver, ((root, 1),)), u
+            )
         return hit
 
     # -- the recursion -------------------------------------------------------

@@ -5,7 +5,10 @@ Each test prints a single PASS line with its coverage numbers; run with
 share engines (and their memo tables) through the module-level cache.
 """
 
+import json
 import random
+
+import pytest
 
 from flagmann import (
     FlagType,
@@ -29,6 +32,8 @@ from flagmann import (
     stratum_rank,
     verify_fiber_rank,
 )
+from flagmann.cli import main
+from flagmann.quiver import format_quiver
 
 from helpers import (
     all_orientations,
@@ -249,3 +254,18 @@ def test_criterion_8_full_faithfulness():
                 pairs += 1
     assert pairs == 72
     print(f"\nACCEPTANCE 8 PASS: full faithfulness on {pairs} pairs at d in {{2,3}}")
+
+
+def test_criterion_9_type_e7_reach(tmp_path, capsys):
+    """check-odd on every E7 indecomposable at d <= 2: no row fails and none
+    exceeds the default budget."""
+    path = tmp_path / "e7.qv"
+    path.write_text(format_quiver(quiver_e(7)))
+    with pytest.raises(SystemExit) as exc:
+        main(["check-odd", "--quiver", str(path), "--max-dim", "99", "--d-max", "2", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert exc.value.code == 0
+    assert (report["failures"], report["over_budget"]) == (0, 0)
+    rows = len(report["instances"])
+    assert rows > 20_000
+    print(f"\nACCEPTANCE 9 PASS: {rows} E7 check-odd rows, 0 fail, 0 over budget")

@@ -17,6 +17,10 @@ D4_QUIVER = (
     "vertices: 1 2 3 4\narrow: 1 -> 2\narrow: 3 -> 2\narrow: 4 -> 2\n"
 )
 A3_QUIVER = "vertices: 1 2 3\narrow: 1 -> 2\narrow: 3 -> 2\n"
+E6_QUIVER = (
+    "vertices: 1 2 3 4 5 6\n"
+    "arrow: 1 -> 3\narrow: 3 -> 4\narrow: 2 -> 4\narrow: 4 -> 5\narrow: 5 -> 6\n"
+)
 CYCLE_QUIVER = "vertices: 1 2 3\narrow: 1 -> 2\narrow: 2 -> 3\narrow: 3 -> 1\n"
 
 
@@ -259,12 +263,18 @@ class TestCheckOdd:
                 "a3.qv", A3_QUIVER, ["--max-dim", "3", "--d-max", "3", "--json"],
                 "d7d76f4f3e8cc0fddd060d01faa79a59c100f8cedef78aa531dfb1d8496a93f5",
             ),
+            (
+                "e6.qv", E6_QUIVER, ["--max-dim", "11", "--d-max", "2"],
+                "97868c195e5a2f13dcd121380244affc1f1a18fd050dbd678cd3765cc9103db8",
+            ),
         ],
-        ids=["d4-text", "a3-json"],
+        ids=["d4-text", "a3-json", "e6-text"],
     )
     def test_pinned_rows(self, name, text, args, digest, tmp_path, monkeypatch, capsys):
         # stdout digests recorded before the flag-type generator moved into
-        # flagmann.quiver; they pin the row order and every row's bytes
+        # flagmann.quiver (D4, A3) and before the type-A, type-D and Lagrange
+        # base cases became one palindromic fit (E6, every root); they pin
+        # the row order and every row's bytes
         monkeypatch.chdir(tmp_path)
         (tmp_path / name).write_text(text)
         code, out, _ = run_cli(["check-odd", "--quiver", name] + args, capsys)

@@ -26,7 +26,7 @@ from flagmann import (
     stratum_rank,
 )
 from flagmann.counting import candidate_estimate
-from flagmann.errors import BudgetExceededError, InputError
+from flagmann.errors import BudgetExceededError, InputError, VerificationError
 from flagmann.quiver import flag_differences
 
 from helpers import (
@@ -86,6 +86,12 @@ class TestStratumRank:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             stratum_rank(A2, FlagType(((1, 0),)), FlagType(((0, 1), (1, 1))))
+
+    def test_wrong_width(self):
+        with pytest.raises(InputError):
+            stratum_rank(A2, FlagType(((0,), (1,))), FlagType(((1,), (1,))))
+        with pytest.raises(InputError):
+            rigid_dimension(A2, FlagType(((0, 0, 1), (1, 1, 1))))
 
 
 class TestRigidDimension:
@@ -267,6 +273,42 @@ class TestBaseCases:
         ud = FlagType(((0, 1, 0, 0), (1, 2, 1, 1)))
         assert engine_for(d4).base_case_rigid_interpolation(msd, ud).coefficients == (1, 1)
 
+    @pytest.mark.parametrize(
+        "copies, steps, expected",
+        [
+            (4, ((2,), (4,)), (1, 1, 2, 1, 1)),  # Gr(2, 4): D = 4, counts at 2, 3, 5
+            (4, ((1,), (2,), (3,), (4,)), (1, 3, 5, 6, 5, 3, 1)),  # complete flags
+            (5, ((2,), (5,)), (1, 1, 2, 2, 2, 1, 1)),  # Gr(2, 5): D = 6, up to 7
+        ],
+        ids=["gr24", "complete4", "gr25"],
+    )
+    def test_interpolation_fits_grassmannians(self, copies, steps, expected):
+        ms = RootMultiset(ONE, (((1,), copies),))
+        poly = PoincareEngine(ONE).base_case_rigid_interpolation(ms, FlagType(steps))
+        assert poly.coefficients == expected
+
+    @pytest.mark.parametrize(
+        "counted, top, match",
+        [
+            ((1, 2), 2, "gives"),  # not palindromic: P = 1 + q fails at q = 2
+            ((2, 2), 2, "gives"),  # constant term 2
+            ((2, 0, 1), 3, "not a nonnegative integer"),  # c_1 = 1/2
+            ((1, -1, 1), 3, "not a nonnegative integer"),  # c_1 = -1
+        ],
+        ids=["asymmetric", "constant-2", "non-integral", "negative"],
+    )
+    def test_interpolation_rejects_bad_counts(self, counted, top, match, monkeypatch):
+        # P^1 (D = 1) or P^2 (D = 2) over A1, with counts from a wrong polynomial
+        eng = PoincareEngine(ONE)
+
+        def count(ms, u, q, budget=None):
+            return sum(c * q**i for i, c in enumerate(counted))
+
+        monkeypatch.setattr(eng, "count", count)
+        ms = RootMultiset(ONE, (((1,), top),))
+        with pytest.raises(VerificationError, match=match):
+            eng.base_case_rigid_interpolation(ms, FlagType(((1,), (top,))))
+
     def test_interpolation_trivial_flag(self):
         ms = RootMultiset(ONE, (((1,), 3),))
         poly = engine_for(ONE).base_case_rigid_interpolation(ms, FlagType(((3,),)))
@@ -347,7 +389,8 @@ class TestPoincare:
     def test_random_quivers_match_counts(self):
         # seeded differential sweep beyond the fixed A2/A3/D4 ones: random
         # orientations of A4, A5, D5, D6 and E6, random root multisets and
-        # flag types, the recursion against the oracle at q = 2 and 3
+        # flag types, the recursion against the oracle at q = 2 and 3, and
+        # every nonempty rigid result palindromic with constant term 1
         rng = random.Random(2019)
         shapes = (quiver_a(4), quiver_a(5), quiver_d(5), quiver_d(6), quiver_e(6))
         cases = recursed = rigid = 0
@@ -362,6 +405,9 @@ class TestPoincare:
                 assert poly.evaluate(q) == count_flags(rep, u), (ms.quiver, ms.items, u.steps)
             if not poly.is_zero and engine_for(ms.quiver).multiset_is_rigid(ms):
                 assert poly.degree == rigid_dimension(ms.quiver, u)
+                # smooth and paved by affines: palindromic, one 0-cell
+                assert poly.coefficients == poly.coefficients[::-1]
+                assert poly.coefficients[0] == 1
                 rigid += 1
             recursed += len(ms.expand()) > 1 and not poly.is_zero
             cases += 1
