@@ -33,7 +33,7 @@ from .quiver import (
     parse_flag_type,
     positive_roots,
 )
-from .reps import RootMultiset, build_rep, direct_sum, load_rep_spec
+from .reps import build_rep, direct_sum, load_rep_spec
 
 
 def _print(line: str) -> None:
@@ -126,7 +126,7 @@ def _campaign_instance(quiver: Quiver, root, flag: FlagType, budget):
     try:
         poly = engine.base_case(root, flag)
         row["coefficients"] = list(poly.coefficients)
-        ms = RootMultiset(quiver, ((root, 1),))
+        ms = engine.single(root)
         for q in (2, 3):
             counted = engine.count(ms, flag, q, budget)
             if counted != poly.evaluate(q):

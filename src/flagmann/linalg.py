@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterator
 
 from .errors import InputError
@@ -125,7 +126,39 @@ def rref_rows(rows: Rows, p: int) -> tuple[Rows, tuple[int, ...]]:
 
 
 def rank_rows(rows: Rows, p: int) -> int:
-    return len(rref_rows(rows, p)[0])
+    """Rank over F_p, or over QQ when p == 0.
+
+    Over QQ the elimination is fraction-free: each row is scaled to integers,
+    every pivot step cross-multiplies, and each new row is divided by the gcd
+    of its entries, so no `Fraction` is made.
+    """
+    if p:
+        return len(rref_rows(rows, p)[0])
+    work = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            work.append(ints)
+    rank = 0
+    while work:
+        piv = work.pop()
+        col = next(c for c, x in enumerate(piv) if x)
+        a = piv[col]
+        rest = []
+        for row in work:
+            b = row[col]
+            if b:
+                row = [a * x - b * y for x, y in zip(row, piv)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                if g != 1:
+                    row = [x // g for x in row]
+            rest.append(row)
+        work = rest
+        rank += 1
+    return rank
 
 
 def null_space_rows(rows: Rows, ncols: int, p: int) -> Rows:
@@ -311,9 +344,16 @@ def subspaces_between(lower: Rows, upper: Rows, k: int, p: int) -> Iterator[Rows
     if k == kl:
         yield lower
         return
-    if not lower and upper and ku == len(upper[0]):
-        # no bounds at all: the cached full enumeration applies verbatim
-        yield from _rref_bases(ku, k, p)
+    if not lower:
+        if ku == len(upper[0]):
+            # no bounds at all: the cached full enumeration applies verbatim
+            yield from _rref_bases(ku, k, p)
+            return
+        # with no lower bound the lift is t, and t * upper is already RREF:
+        # row r leads with the pivot 1 of upper's row c (c the pivot column of
+        # t's row r), and every other row of t is zero at column c
+        for t in _rref_bases(ku, k, p):
+            yield mat_mul_rows(t, upper, p)
         return
     upivots = tuple(next(i for i, x in enumerate(row) if x) for row in upper)
     # coordinates of lower inside upper (read off pivot columns of the RREF)

@@ -268,13 +268,25 @@ class PoincareEngine:
         self._poly: dict = {}
         self._base: dict = {}
         self._orders: dict = {}
+        self._singles: dict = {}
+        self._fields: dict = {}
+
+    def single(self, root: DimVector) -> RootMultiset:
+        """The one-summand multiset of a root, made once per engine."""
+        ms = self._singles.get(root)
+        if ms is None:
+            ms = self._singles[root] = RootMultiset(self.quiver, ((root, 1),))
+        return ms
 
     # -- oracle hook -------------------------------------------------------
 
     def count(
         self, multiset: RootMultiset, u: FlagType, q: int, budget: int | None = None
     ) -> int:
-        rep = build_rep(multiset, PrimeField(q))
+        field = self._fields.get(q)
+        if field is None:
+            field = self._fields[q] = PrimeField(q)
+        rep = build_rep(multiset, field)
         return count_flags(rep, u, budget if budget is not None else self.budget)
 
     # -- base cases ----------------------------------------------------------
@@ -351,9 +363,7 @@ class PoincareEngine:
         key = (root, u.steps)
         hit = self._base.get(key)
         if hit is None:
-            hit = self._base[key] = self.base_case_rigid_interpolation(
-                RootMultiset(self.quiver, ((root, 1),)), u
-            )
+            hit = self._base[key] = self.base_case_rigid_interpolation(self.single(root), u)
         return hit
 
     # -- the recursion -------------------------------------------------------

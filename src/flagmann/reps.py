@@ -2,9 +2,10 @@
 
 Representations are immutable: a dimension vector plus one matrix per arrow
 (shape target x source).  Input representations are described as multisets of
-positive roots; the matching indecomposables are built deterministically by
-sink/source reflections starting from simple representations, so the same
-root yields the same matrices over every field.
+positive roots; the matching indecomposables are built deterministically over
+QQ by sink/source reflections starting from simple representations, and the
+one over F_p is that one reduced mod p, so the same root yields the same
+matrices over every field by construction.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from functools import lru_cache
 
 from .errors import InputError, InternalConsistencyError, UnsupportedQuiverError
 from .linalg import (
+    QQ,
     FieldSpec,
     Matrix,
+    PrimeField,
     block_diag,
     mat_mul_rows,
     null_space_rows,
@@ -327,18 +330,10 @@ def _reflect_at_source(rep: Representation, idx: int) -> Representation:
     return Representation(new_quiver, rep.field, new_dims, tuple(new_maps))
 
 
-@lru_cache(maxsize=None)
-def indecomposable_for_root(quiver: Quiver, root: DimVector, field: FieldSpec) -> Representation:
-    """The indecomposable representation with the given root as dimension vector.
-
-    Built by walking the root down to a simple one along the cyclic admissible
-    reflection sequence, then lifting the simple representation back with
-    source reflections.  Deterministic; verified to have a one-dimensional
-    endomorphism ring.
-    """
-    root = quiver.check_dim_vector(root)
-    if root not in positive_roots(quiver):
-        raise InputError(f"{root} is not a positive root of this quiver")
+def _reflection_walk(quiver: Quiver, root: DimVector) -> Representation:
+    """The indecomposable for a positive root over QQ: walk the root down to a
+    simple one along the cyclic admissible reflection sequence, then lift the
+    simple representation back with source reflections."""
     adj = _undirected_adjacency(quiver)
     order = admissible_vertex_order(quiver)
     quivers = [quiver]
@@ -359,9 +354,44 @@ def indecomposable_for_root(quiver: Quiver, root: DimVector, field: FieldSpec) -
         quivers.append(_reverse_at(quivers[-1], i))
         cur = nxt
         step += 1
-    rep = simple_representation(quivers[-1], base_vertex, field)
+    rep = simple_representation(quivers[-1], base_vertex, QQ)
     for i in reversed(word):
         rep = _reflect_at_source(rep, i)
+    return rep
+
+
+def _reduce_mod_p(rep: Representation, field: PrimeField) -> Representation:
+    """The entrywise reduction a/b -> a * b^-1 of a rational representation."""
+    p = field.p
+    maps = []
+    for m in rep.arrow_maps:
+        rows = []
+        for row in m.entries:
+            if any(x.denominator % p == 0 for x in row):
+                raise InternalConsistencyError(
+                    f"an indecomposable over QQ has an entry with denominator divisible by {p}"
+                )
+            rows.append(tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row))
+        maps.append(tuple(rows))
+    return from_raw_maps(rep.quiver, field, rep.dims, maps)
+
+
+@lru_cache(maxsize=None)
+def indecomposable_for_root(quiver: Quiver, root: DimVector, field: FieldSpec) -> Representation:
+    """The indecomposable representation with the given root as dimension vector.
+
+    Built once over QQ by reflections (`_reflection_walk`); over F_p it is the
+    reduction of that one.  Deterministic; verified over every field to have
+    a one-dimensional endomorphism ring, which makes a reduction mod p the
+    indecomposable of F_p for this root.
+    """
+    root = quiver.check_dim_vector(root)
+    if root not in positive_roots(quiver):
+        raise InputError(f"{root} is not a positive root of this quiver")
+    if field.char:
+        rep = _reduce_mod_p(indecomposable_for_root(quiver, root, QQ), field)
+    else:
+        rep = _reflection_walk(quiver, root)
     if rep.quiver != quiver or rep.dims != root:
         raise InternalConsistencyError("reflection construction missed its target")
     if hom_dim(rep, rep) != 1:

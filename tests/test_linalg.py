@@ -1,6 +1,7 @@
 """Exact linear algebra: rank/kernel contracts, canonical subspace
 enumeration against the Gaussian binomial, quotient/preimage machinery."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from flagmann.linalg import (
     null_space_rows,
     preimage_rowspace,
     quotient_map_rows,
+    rank_rows,
     rowspace_contains,
+    rowspace_leq,
     rref_rows,
     subspaces_between,
     sum_rowspaces,
@@ -45,6 +48,38 @@ class TestMatrix:
     def test_rank_proportional_rows(self):
         m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
         assert m.rank() == 1
+
+    def test_rank_over_qq_matches_rref(self):
+        # the fraction-free rank over QQ against the RREF, on seeded random
+        # matrices: non-integral entries, zero rows, low rank, thin shapes
+        rng = random.Random(1909)
+
+        def entry():
+            if rng.random() < 0.4:
+                return Fraction(0)
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+
+        cases = [(), ((),), ((), ()), ((Fraction(0),) * 3,) * 2, ((1, 2), (2, 4))]
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            shape = rng.random()
+            if shape < 0.2:
+                nrows = 1
+            elif shape < 0.4:
+                ncols = 1
+            if rng.random() < 0.5:
+                rows = tuple(tuple(entry() for _ in range(ncols)) for _ in range(nrows))
+            else:
+                inner = rng.randint(1, 3)
+                a = tuple(tuple(entry() for _ in range(inner)) for _ in range(nrows))
+                b = tuple(tuple(entry() for _ in range(ncols)) for _ in range(inner))
+                rows = mat_mul_rows(a, b, 0)
+            if rng.random() < 0.3:
+                rows += ((Fraction(0),) * ncols,)
+            cases.append(tuple(rng.sample(rows, len(rows))))
+        assert any(x.denominator > 1 for rows in cases for row in rows for x in row)
+        for rows in cases:
+            assert rank_rows(rows, 0) == len(rref_rows(rows, 0)[0]), rows
 
     def test_kernel_identity_empty(self):
         assert Matrix.identity(QQ, 3).kernel_basis() == ()
@@ -131,6 +166,26 @@ class TestRowspaceToolkit:
         assert len(planes) == 4
         for pl in planes:
             assert rowspace_contains(pl, (1, 0, 0), p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_subspaces_between_yields_rref(self, p):
+        # seeded bounds, with and without a lower one: every yielded basis is
+        # its own RREF, lies between the bounds, and the count is the
+        # Gaussian binomial of the gap
+        rng = random.Random(p)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            ku = rng.randint(1, n)
+            upper = rng.choice(list(enumerate_subspaces(n, ku, p)))
+            kl = rng.choice([0, 0, rng.randint(0, ku)])
+            t = rng.choice(list(enumerate_subspaces(ku, kl, p)))
+            lower = rref_rows(mat_mul_rows(t, upper, p), p)[0]
+            for k in range(kl, ku + 1):
+                got = list(subspaces_between(lower, upper, k, p))
+                assert len(set(got)) == len(got) == gaussian_binomial(ku - kl, k - kl, p)
+                for basis in got:
+                    assert rref_rows(basis, p)[0] == basis
+                    assert rowspace_leq(lower, basis, p) and rowspace_leq(basis, upper, p)
 
     def test_subspaces_between_trivial_gap(self):
         line = ((1, 2),)

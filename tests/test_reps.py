@@ -1,6 +1,8 @@
 """Representations: Hom/Ext against a brute-force morphism enumeration,
 reflection-built indecomposables, direct sums, sub- and quotient objects."""
 
+import hashlib
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -27,7 +29,8 @@ from flagmann import (
     subrepresentation,
     zero_representation,
 )
-from flagmann.errors import InputError
+from flagmann import reps
+from flagmann.errors import InputError, InternalConsistencyError
 from flagmann.reps import admissible_vertex_order
 
 from helpers import all_orientations, quiver_a, quiver_d, quiver_e
@@ -194,6 +197,45 @@ class TestIndecomposables:
     def test_non_root_rejected(self):
         with pytest.raises(InputError):
             indecomposable_for_root(A2, (2, 1), QQ)
+
+    @pytest.mark.parametrize(
+        "quivers, primes, count, digest",
+        [
+            (list(all_orientations(quiver_a(4))), (2, 3, 5), 320,
+             "7658062985c9d3b3450670859f6913c0aa5ed867f0ae6f275bd53ba0bbe4868b"),
+            (list(all_orientations(quiver_d(4))), (2, 3, 5), 384,
+             "f0effbe2aace4b03d41c0367945af122664144e7366a83e7bfc10c82185d8f3d"),
+            (list(all_orientations(quiver_e(6))), (2, 3, 5), 4608,
+             "80c4ba2e8fa8649a1f7c8d2072056ddd288d3ab20c13a9e081bd3652cab80c94"),
+            ([quiver_e(7)], (2, 3), 189,
+             "6f11e7e381c2f9f09f963206002a9541784bb0309e304316a65efd54a676734f"),
+        ],
+        ids=["A4", "D4", "E6", "E7"],
+    )
+    def test_pinned_matrices(self, quivers, primes, count, digest):
+        # sha256 of (dims, arrow-matrix entries) of every indecomposable, over
+        # QQ and each prime field, recorded when every field still ran its
+        # own reflection walk
+        fields = (QQ,) + tuple(PrimeField(p) for p in primes)
+        sha = hashlib.sha256()
+        built = 0
+        for quiver in quivers:
+            for field in fields:
+                for root in positive_roots(quiver):
+                    rep = indecomposable_for_root(quiver, root, field)
+                    entries = tuple(m.entries for m in rep.arrow_maps)
+                    sha.update(repr((rep.dims, entries)).encode())
+                    built += 1
+        assert built == count
+        assert sha.hexdigest() == digest
+
+    def test_reduction_rejects_a_denominator_divisible_by_p(self, monkeypatch):
+        build = reps.indecomposable_for_root.__wrapped__  # past the cache
+        halved = Representation(A2, QQ, (1, 1), (Matrix.from_rows(QQ, [[Fraction(1, 2)]]),))
+        monkeypatch.setattr(reps, "indecomposable_for_root", lambda *args: halved)
+        with pytest.raises(InternalConsistencyError, match="divisible by 2"):
+            build(A2, (1, 1), F2)
+        assert build(A2, (1, 1), PrimeField(3)).arrow_maps[0].entries == ((2,),)
 
 
 class TestRootMultisetAndBuild:
