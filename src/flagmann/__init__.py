@@ -70,8 +70,6 @@ from .reps import (
     hom_dim,
     hom_space,
     indecomposable_for_root,
-    is_rigid,
-    is_subrepresentation,
     parse_rep_spec,
     quotient_representation,
     simple_representation,

@@ -16,13 +16,12 @@ Everything here works over PrimeField representations only.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, InternalConsistencyError
 from .linalg import (
     PrimeField,
     gaussian_binomial,
@@ -38,20 +37,6 @@ from .quiver import FlagType, Quiver, flag_differences
 from .reps import Representation, canonical_subspaces, quotient_maps, raw_maps, subrep_subspaces
 
 DEFAULT_BUDGET = 10**8
-BUDGET_ENV_VAR = "FLAGMANN_BUDGET"
-
-
-def resolve_budget(budget: int | None = None) -> int:
-    """Explicit value, else the FLAGMANN_BUDGET environment override, else default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"bad {BUDGET_ENV_VAR} value {env!r}") from exc
-    return DEFAULT_BUDGET
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +257,7 @@ def _check_weight(rep: Representation, flag_type: FlagType) -> None:
 def _check_budget(rep: Representation, flag_type: FlagType, budget: int | None) -> None:
     """Reject a flag type of the wrong weight, then a search estimated over budget."""
     _check_weight(rep, flag_type)
-    limit = resolve_budget(budget)
+    limit = DEFAULT_BUDGET if budget is None else budget
     est = candidate_estimate(rep, flag_type)
     if est > limit:
         raise BudgetExceededError(
@@ -387,11 +372,25 @@ def sample_flags(
     rng: random.Random,
     budget: int | None = None,
 ) -> list[FlagPoint]:
-    """Uniform sample (with replacement) from the full flag enumeration."""
+    """Uniform sample (with replacement) from the full flag enumeration.
+
+    The pool is counted, `count` indices are drawn from it, and one pass of
+    `enumerate_flags` picks the drawn points, stopping at the last one.
+    """
     if count < 0:
         raise InputError(f"sample count must be >= 0, got {count}")
-    _check_budget(rep, flag_type, budget)
-    pool = list(enumerate_flags(rep, flag_type))
-    if not pool:
-        return []
-    return [pool[rng.randrange(len(pool))] for _ in range(count)]
+    size = count_flags(rep, flag_type, budget)
+    draws = [rng.randrange(size) for _ in range(count)] if size else []
+    picked = dict.fromkeys(draws)
+    if picked:
+        last = max(picked)
+        for i, point in enumerate(enumerate_flags(rep, flag_type)):
+            if i in picked:
+                picked[i] = point
+            if i == last:
+                break
+        else:
+            raise InternalConsistencyError(
+                f"counted {size} flags, but the enumeration ended before flag {last}"
+            )
+    return [picked[i] for i in draws]

@@ -416,15 +416,6 @@ class Matrix:
         prod = mat_mul_rows(self.entries, other.entries, self.field.char)
         return Matrix(self.field, self.nrows, other.ncols, prod)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise InputError("incompatible matrix sum")
-        f = self.field.coerce
-        rows = tuple(
-            tuple(f(a + b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)
-        )
-        return Matrix(self.field, self.nrows, self.ncols, rows)
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise InputError("incompatible matrix difference")

@@ -9,7 +9,7 @@ varieties, so point counts multiply and pick up a power of q equal to the
 bundle rank.  Indecomposable base cases are rigid, so a nonempty one is a
 palindromic polynomial 1 + c_1 q + ... + c_1 q^(D-1) + q^D of the expected
 dimension D; its middle coefficients are fitted to finite-field counts and
-checked at one held-out prime.
+checked at one held-out prime.  An empty one, read off F_2, is checked at F_3.
 
 The recursion runs on raw step tuples and coefficient tuples.  Its input is
 validated once, as a `FlagType`; a `FlagType` is built again only for a base
@@ -280,19 +280,16 @@ class PoincareEngine:
 
     # -- oracle hook -------------------------------------------------------
 
-    def count(
-        self, multiset: RootMultiset, u: FlagType, q: int, budget: int | None = None
-    ) -> int:
+    def count(self, multiset: RootMultiset, u: FlagType, q: int) -> int:
         field = self._fields.get(q)
         if field is None:
             field = self._fields[q] = PrimeField(q)
-        rep = build_rep(multiset, field)
-        return count_flags(rep, u, budget if budget is not None else self.budget)
+        return count_flags(build_rep(multiset, field), u, self.budget)
 
     # -- base cases ----------------------------------------------------------
 
     def base_case_rigid_interpolation(
-        self, multiset: RootMultiset, u: FlagType, budget: int | None = None
+        self, multiset: RootMultiset, u: FlagType
     ) -> PoincarePolynomial:
         """Fit the count polynomial of a rigid representation.
 
@@ -300,16 +297,17 @@ class PoincareEngine:
         expected dimension D and has a cell count with nonnegative
         coefficients, so by Poincare duality it is palindromic:
         1 + c_1 q + ... + c_1 q^(D-1) + q^D.  The count over F_2 decides
-        emptiness; the floor(D/2) free coefficients are solved exactly from
-        the counts at the first floor(D/2) primes, and the count at one more
-        prime (at F_3 too when nothing is solved) is a held-out witness.
+        emptiness, and a zero count over F_3 witnesses it; the floor(D/2)
+        free coefficients are solved exactly from the counts at the first
+        floor(D/2) primes, and the count at one more prime (at F_3 too when
+        nothing is solved) is a held-out witness.
         """
         if not self.multiset_is_rigid(multiset):
             raise InputError("interpolation base case needs a rigid representation")
 
         def counted(p: int) -> int:
             try:
-                return self.count(multiset, u, p, budget)
+                return self.count(multiset, u, p)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(
                     f"base case out of desk range for summands {multiset.items}: {exc}"
@@ -317,6 +315,12 @@ class PoincareEngine:
 
         counts = [counted(2)]
         if not counts[0]:
+            witness = counted(3)
+            if witness:
+                raise VerificationError(
+                    f"counted 0 at q = 2 but {witness} at q = 3 for summands "
+                    f"{multiset.items}, flag {u.steps}"
+                )
             return PoincarePolynomial.zero()
         dim = max(_telescoped_rank(self.quiver, u.steps, u.steps), 0)
         half = dim // 2

@@ -145,9 +145,6 @@ class RootMultiset:
             out.extend([root] * mult)
         return tuple(out)
 
-    def __len__(self) -> int:
-        return sum(m for _, m in self.items)
-
 
 def parse_rep_spec(text: str, quiver: Quiver) -> RootMultiset:
     """Parse ``summand: 1,1 x 2`` lines into a root multiset."""
@@ -251,10 +248,6 @@ def ext1_dim(w_rep: Representation, v_rep: Representation) -> int:
             f"negative Ext dimension {e} for dims {w_rep.dims} -> {v_rep.dims}"
         )
     return e
-
-
-def is_rigid(rep: Representation) -> bool:
-    return ext1_dim(rep, rep) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +439,6 @@ def subrep_subspaces(rep: Representation, subspaces: Subspaces) -> Subspaces:
     if not _is_stable(rep, canon):
         raise InputError("subspaces are not arrow-stable")
     return canon
-
-
-def is_subrepresentation(rep: Representation, subspaces: Subspaces) -> bool:
-    """True iff every arrow map sends the source subspace into the target one."""
-    return _is_stable(rep, canonical_subspaces(rep, subspaces))
 
 
 def sub_maps(arrow_indices, maps, subspaces, p):

@@ -1,8 +1,10 @@
 """Command-line surface: outputs, exit codes, JSON shape, determinism."""
 
 import hashlib
+import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,15 @@ from pathlib import Path
 import pytest
 
 import flagmann
+from flagmann import (
+    QQ,
+    PoincareEngine,
+    RootMultiset,
+    build_rep,
+    ext1_dim,
+    parse_quiver,
+    positive_roots,
+)
 from flagmann.cli import main
 
 A2_QUIVER = "vertices: 1 2\narrow: 1 -> 2\n"
@@ -281,6 +292,24 @@ class TestCheckOdd:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_row_empty_at_2_only_fails(self, a2, monkeypatch, capsys):
+        # the base case witnesses an F_2-empty variety at F_3; a nonzero
+        # count there fails the row with the base case's message.  A fresh
+        # engine cache, so no base case is memoised yet.
+        monkeypatch.setattr(importlib.import_module("flagmann.poincare"), "_engines", {})
+        monkeypatch.setattr(PoincareEngine, "count", lambda self, ms, u, q: q - 2)
+        code, out, _ = run_cli(
+            ["check-odd", "--quiver", str(a2), "--max-dim", "2", "--d-max", "2", "--json"],
+            capsys,
+        )
+        assert code == 3
+        data = json.loads(out)
+        assert data["status"] == "fail"
+        assert data["failures"] == len(data["instances"]) > 0
+        for row in data["instances"]:
+            assert row["status"] == "fail" and row["coefficients"] is None
+            assert row["detail"].startswith("counted 0 at q = 2 but 1 at q = 3")
+
     def test_parallel_jobs_match_serial(self, a2, capsys):
         args = ["check-odd", "--quiver", str(a2), "--max-dim", "2", "--d-max", "2", "--json"]
         _, serial, _ = run_cli(args, capsys)
@@ -425,6 +454,65 @@ class TestVerifyBundle:
         code, out, _ = run_cli(args + ["--samples", "0"], capsys)
         assert code == 0
         assert "fiber dims: (none)" in out
+
+    def test_seeded_runs_digest(self, tmp_path, capsys):
+        # exit codes and stdout of seeded A3 and D4 runs with Ext^1(W, V) = 0,
+        # recorded before sample_flags stopped listing its pool; they pin
+        # every line's bytes, the number of sampled fiber dims included
+        rng = random.Random(12)
+        digest = hashlib.sha256()
+        for text in (A3_QUIVER, D4_QUIVER):
+            quiver_path = tmp_path / "q.qv"
+            quiver_path.write_text(text)
+            quiver = parse_quiver(text)
+            roots = positive_roots(quiver)
+            runs = 0
+            while runs < 10:
+                drawn = [
+                    [rng.choice(roots) for _ in range(rng.randint(1, k))] for k in (3, 2)
+                ]
+                v, w = (RootMultiset.from_roots(quiver, summands) for summands in drawn)
+                if sum(v.total) + sum(w.total) > 7 or ext1_dim(
+                    build_rep(w, QQ), build_rep(v, QQ)
+                ):
+                    continue
+                d = rng.randint(2, 3)
+                flags = []
+                for summands in drawn:
+                    steps = [tuple(map(sum, zip((0,) * quiver.n, *summands)))]
+                    if rng.random() < 0.5:
+                        # partial sums of the summands: a nonempty variety
+                        cuts = sorted(rng.randint(0, len(summands)) for _ in range(d - 1))
+                        steps[:0] = [
+                            tuple(map(sum, zip((0,) * quiver.n, *summands[:c]))) for c in cuts
+                        ]
+                    else:
+                        for _ in range(d - 1):
+                            steps.insert(0, tuple(rng.randint(0, x) for x in steps[0]))
+                    flags.append(";".join(",".join(map(str, s)) for s in steps))
+                for name, ms in (("v.rep", v), ("w.rep", w)):
+                    (tmp_path / name).write_text(
+                        "".join(f"summand: {','.join(map(str, r))}\n" for r in ms.expand())
+                    )
+                code, out, _ = run_cli(
+                    [
+                        "verify-bundle",
+                        "--quiver", str(quiver_path),
+                        "--v-rep", str(tmp_path / "v.rep"),
+                        "--w-rep", str(tmp_path / "w.rep"),
+                        "--v-flag", flags[0],
+                        "--w-flag", flags[1],
+                        "--samples", str(rng.randint(0, 7)),
+                        "--seed", str(rng.randrange(1000)),
+                        "--prime", str(rng.choice((2, 3))),
+                    ],
+                    capsys,
+                )
+                digest.update(f"{code}\n{out}".encode())
+                runs += 1
+        assert digest.hexdigest() == (
+            "f80d8a87675c359be6bcd3f332040380086d74f3b36014ddf87332502ed521fd"
+        )
 
     def test_budget_exits_4_before_any_output(self, a2, tmp_path, capsys):
         # the flag counts fit a budget of 1; the stratum count does not

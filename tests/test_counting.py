@@ -24,8 +24,9 @@ from flagmann import (
     sample_flags,
     stratum_counts,
 )
-from flagmann.counting import candidate_estimate, resolve_budget
-from flagmann.errors import BudgetExceededError, InputError
+from flagmann import counting
+from flagmann.counting import candidate_estimate
+from flagmann.errors import BudgetExceededError, InputError, InternalConsistencyError
 
 from helpers import multisets_upto, quiver_a, quiver_d, quiver_e, random_instance
 
@@ -264,13 +265,6 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             count_flags(rep, u, budget=2)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FLAGMANN_BUDGET", "123")
-        assert resolve_budget() == 123
-        monkeypatch.delenv("FLAGMANN_BUDGET")
-        assert resolve_budget() == 10**8
-        assert resolve_budget(7) == 7
-
     def test_estimate_is_an_upper_bound(self):
         rep = one_vertex_rep(3, F2)
         u = FlagType(((1,), (2,), (3,)))
@@ -299,3 +293,31 @@ class TestSampling:
         p = indecomposable_for_root(A2, (1, 1), F2)
         u = FlagType(((1, 0), (1, 1)))
         assert sample_flags(p, u, 3, random.Random(0)) == []
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    @pytest.mark.parametrize("base", [quiver_a(3), quiver_d(4)], ids=["A3", "D4"])
+    def test_matches_draws_from_the_listed_pool(self, base, field):
+        # the same randrange draws, made from the whole enumeration as a list
+        rng = random.Random(31)
+        sizes = set()
+        for trial in range(40):
+            ms, u = random_instance(rng, base)
+            rep = build_rep(ms, field)
+            seed = rng.randrange(10**6)
+            pool = list(enumerate_flags(rep, u))
+            listed = random.Random(seed)
+            expected = (
+                [pool[listed.randrange(len(pool))] for _ in range(trial % 8)] if pool else []
+            )
+            counted = random.Random(seed)
+            assert sample_flags(rep, u, trial % 8, counted) == expected
+            assert counted.getstate() == listed.getstate()
+            sizes.add(min(len(pool), 2))
+        assert sizes == {0, 1, 2}
+
+    def test_overcount_is_inconsistent(self, monkeypatch):
+        rep = one_vertex_rep(2, F2)
+        u = FlagType(((1,), (2,)))
+        monkeypatch.setattr(counting, "count_flags", lambda rep, u, budget=None: 30)
+        with pytest.raises(InternalConsistencyError, match="counted 30 flags"):
+            sample_flags(rep, u, 7, random.Random(0))

@@ -1,8 +1,10 @@
 """Layering: every module of the package imports at module level only, so
 the import graph is the one the module headers show, and exact rational
-arithmetic has one owner, `linalg`."""
+arithmetic has one owner, `linalg`; and every name the benchmark's tracer
+wraps or reads still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagmann"
@@ -40,3 +42,21 @@ def imported_modules(path: Path) -> set[str]:
 def test_only_linalg_imports_fractions():
     users = sorted(p.name for p in SRC.glob("*.py") if "fractions" in imported_modules(p))
     assert users == ["linalg.py"]
+
+
+def load_tracer():
+    path = SRC.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_names_resolve():
+    # the traced benchmark reports null for a span or cache it cannot find
+    tracer = load_tracer()
+    missing = [f"{m}.{p}" for m, p, _ in tracer.SPANS if tracer.resolve(m, p) is None]
+    assert not missing, f"traced names the package no longer has: {missing}"
+    for module, name in tracer.CACHES:
+        found = tracer.resolve(module, name)
+        assert found and hasattr(found[2], "cache_info"), f"{module}.{name} has no cache_info"

@@ -294,14 +294,15 @@ class TestBaseCases:
             ((2, 2), 2, "gives"),  # constant term 2
             ((2, 0, 1), 3, "not a nonnegative integer"),  # c_1 = 1/2
             ((1, -1, 1), 3, "not a nonnegative integer"),  # c_1 = -1
+            ((-2, 1), 1, "0 at q = 2 but 1 at q = 3"),  # q - 2: empty over F_2 only
         ],
-        ids=["asymmetric", "constant-2", "non-integral", "negative"],
+        ids=["asymmetric", "constant-2", "non-integral", "negative", "empty-at-2-only"],
     )
     def test_interpolation_rejects_bad_counts(self, counted, top, match, monkeypatch):
         # P^1 (D = 1) or P^2 (D = 2) over A1, with counts from a wrong polynomial
         eng = PoincareEngine(ONE)
 
-        def count(ms, u, q, budget=None):
+        def count(ms, u, q):
             return sum(c * q**i for i, c in enumerate(counted))
 
         monkeypatch.setattr(eng, "count", count)
@@ -323,7 +324,7 @@ class TestBaseCases:
         ms = RootMultiset(ONE, (((1,), 4),))
         u = FlagType(((1,), (2,), (3,), (4,)))
         with pytest.raises(BudgetExceededError, match="out of desk range"):
-            engine_for(ONE).base_case_rigid_interpolation(ms, u, budget=2)
+            PoincareEngine(ONE, budget=2).base_case_rigid_interpolation(ms, u)
 
 
 class TestPoincare:
