@@ -23,7 +23,7 @@ from .errors import (
 )
 from .extended import verify_fiber_rank
 from .linalg import PrimeField
-from .poincare import PoincareEngine, PoincarePolynomial, engine_for
+from .poincare import PoincarePolynomial, engine_for
 from .quiver import (
     FlagType,
     Quiver,
@@ -81,7 +81,7 @@ def cmd_poincare(args) -> int:
     quiver = load_quiver(args.quiver)
     multiset = load_rep_spec(args.rep, quiver)
     flag = parse_flag_type(args.flag, quiver)
-    engine = PoincareEngine(quiver, args.budget)
+    engine = engine_for(quiver, args.budget)
     poly = engine.poincare(multiset, flag)
     verified = []
     if args.verify:
@@ -304,7 +304,8 @@ def main(argv=None) -> None:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         code = 4
     except RecursionError:
-        # the summand recursion is one Python frame per summand
+        # the oracle's walk takes Python frames per flag step; too many
+        # summands are refused before the recursion starts
         sys.stderr.write("budget exceeded: recursion deeper than the interpreter allows\n")
         code = 4
     except InputError as exc:

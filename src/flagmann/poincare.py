@@ -20,6 +20,7 @@ case computed for the first time, and the answer is wrapped into one
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, product
@@ -226,39 +227,31 @@ def _ext1_roots(quiver: Quiver, a: DimVector, b: DimVector) -> int:
 def directed_order(multiset: RootMultiset) -> tuple[DimVector, ...]:
     """Distinct roots ordered so Ext^1(earlier, later) = 0, stably.
 
-    Topological sort on "A must follow B when Ext^1(A, B) > 0", ties broken
-    by the input (canonical multiset) order.
+    Places, again and again, the first remaining root in canonical multiset
+    order that has no Ext^1 into another remaining root.
     """
     quiver = multiset.quiver
-    roots = [root for root, _ in multiset.items]
-    k = len(roots)
-    after = [[False] * k for _ in range(k)]
-    indeg = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i != j and _ext1_roots(quiver, roots[i], roots[j]) > 0:
-                after[j][i] = True  # i must come after j
-                indeg[i] += 1
+    left = [root for root, _ in multiset.items]
     placed = []
-    used = [False] * k
-    for _ in range(k):
-        pick = None
-        for i in range(k):
-            if not used[i] and indeg[i] == 0:
-                pick = i
-                break
+    while left:
+        pick = next(
+            (a for a in left if not any(b != a and _ext1_roots(quiver, a, b) for b in left)),
+            None,
+        )
         if pick is None:
             raise UnsupportedQuiverError("extension relation among summands has a cycle")
-        used[pick] = True
-        placed.append(roots[pick])
-        for i in range(k):
-            if not used[i] and after[pick][i]:
-                indeg[i] -= 1
+        placed.append(pick)
+        left.remove(pick)
     return tuple(placed)
 
 
 class PoincareEngine:
-    """Shared caches for one Dynkin quiver: polynomials, base cases, counts."""
+    """The recursion for one Dynkin quiver and budget, with its memo.
+
+    `_poly` maps (summands in directed order, flag steps) to coefficient
+    tuples; a single summand's entry is its base case.  Get an engine from
+    `engine_for`, which keeps one per (quiver, budget).
+    """
 
     def __init__(self, quiver: Quiver, budget: int | None = None):
         self.quiver = quiver
@@ -266,7 +259,6 @@ class PoincareEngine:
             raise UnsupportedQuiverError("the recursion needs a Dynkin quiver")
         self.budget = budget
         self._poly: dict = {}
-        self._base: dict = {}
         self._orders: dict = {}
         self._singles: dict = {}
         self._fields: dict = {}
@@ -364,11 +356,12 @@ class PoincareEngine:
         )
 
     def base_case(self, root: DimVector, u: FlagType) -> PoincarePolynomial:
-        key = (root, u.steps)
-        hit = self._base.get(key)
+        key = ((root,), u.steps)
+        hit = self._poly.get(key)
         if hit is None:
-            hit = self._base[key] = self.base_case_rigid_interpolation(self.single(root), u)
-        return hit
+            poly = self.base_case_rigid_interpolation(self.single(root), u)
+            hit = self._poly[key] = poly.coefficients
+        return PoincarePolynomial(hit)
 
     # -- the recursion -------------------------------------------------------
 
@@ -379,6 +372,9 @@ class PoincareEngine:
             raise InputError(
                 f"flag type weight {u.weight} differs from total dimension {multiset.total}"
             )
+        if sum(mult for _, mult in multiset.items) > sys.getrecursionlimit():
+            # the recursion takes one frame per summand
+            raise BudgetExceededError("recursion deeper than the interpreter allows")
         roots = tuple(root for root, _ in multiset.items)
         order = self._orders.get(roots)
         if order is None:
@@ -387,14 +383,6 @@ class PoincareEngine:
         seq = tuple(sorted(multiset.expand(), key=order.__getitem__))
         return PoincarePolynomial(self._poincare_seq(seq, u.steps))
 
-    def _base_coefficients(
-        self, root: DimVector, steps: tuple[DimVector, ...]
-    ) -> tuple[int, ...]:
-        hit = self._base.get((root, steps))
-        if hit is None:
-            hit = self.base_case(root, FlagType(steps))
-        return hit.coefficients
-
     def _poincare_seq(
         self, seq: tuple[DimVector, ...], steps: tuple[DimVector, ...]
     ) -> tuple[int, ...]:
@@ -402,20 +390,20 @@ class PoincareEngine:
         order, for the flag type with these steps."""
         if not seq:
             return (1,)  # weight 0 forces the empty flag
-        if len(seq) == 1:
-            return self._base_coefficients(seq[0], steps)
         key = (seq, steps)
         hit = self._poly.get(key)
         if hit is not None:
             return hit
-        head, rest = seq[0], seq[1:]
+        if len(seq) == 1:
+            return self.base_case(seq[0], FlagType(steps)).coefficients
+        head, rest = seq[:1], seq[1:]
         rest_total = tuple(sum(r[i] for r in rest) for i in range(self.quiver.n))
         total: list[int] = []
-        for sub, quot, rank in enumerate_splittings(self.quiver, steps, rest_total, head):
+        for sub, quot, rank in enumerate_splittings(self.quiver, steps, rest_total, head[0]):
             p_sub = self._poincare_seq(rest, sub)
             if not p_sub:
                 continue
-            p_quot = self._base_coefficients(head, quot)
+            p_quot = self._poincare_seq(head, quot)
             if not p_quot:
                 continue
             if rank < 0:
@@ -439,6 +427,8 @@ _engines: dict = {}
 
 
 def engine_for(quiver: Quiver, budget: int | None = None) -> PoincareEngine:
+    """The process's one engine for this quiver and budget, so a memo filled
+    under one budget is never read under another."""
     key = (quiver, budget)
     eng = _engines.get(key)
     if eng is None:

@@ -2,7 +2,7 @@
 
 Each test prints a single PASS line with its coverage numbers; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.  The heavy sweeps
-share engines (and their memo tables) through the module-level cache.
+share engines (and their memo tables) through `engine_for`.
 """
 
 import json
@@ -12,7 +12,6 @@ import pytest
 
 from flagmann import (
     FlagType,
-    PoincareEngine,
     PrimeField,
     QQ,
     RootMultiset,
@@ -20,6 +19,7 @@ from flagmann import (
     count_flags,
     count_strata,
     direct_sum,
+    engine_for,
     ext1_dim,
     euler_form,
     flag_types,
@@ -43,15 +43,6 @@ from helpers import (
     quiver_e,
 )
 
-ENGINES: dict = {}
-
-
-def engine(quiver) -> PoincareEngine:
-    if quiver not in ENGINES:
-        ENGINES[quiver] = PoincareEngine(quiver)
-    return ENGINES[quiver]
-
-
 def criterion_sweep_quivers():
     for base in (quiver_a(2), quiver_a(3), quiver_d(4)):
         yield from all_orientations(base)
@@ -61,7 +52,7 @@ def test_criterion_1_oracle_equivalence():
     """Polynomials evaluate to the exact F_q point counts."""
     instances = 0
     for quiver in criterion_sweep_quivers():
-        eng = engine(quiver)
+        eng = engine_for(quiver)
         roots = positive_roots(quiver)
         for ms in multisets_upto(quiver, roots, 3, 6):
             for u in flag_types(ms.total, 3):
@@ -81,7 +72,7 @@ def test_criterion_2_type_a_classification():
     checked = 0
     for directions in ([0, 0, 0], [0, 1, 0]):
         quiver = quiver_a(4, directions)
-        eng = engine(quiver)
+        eng = engine_for(quiver)
         for root in positive_roots(quiver):
             for u in flag_types(root, 4):
                 poly = eng.base_case(root, u)
@@ -95,7 +86,7 @@ def test_criterion_3_type_d_classification():
     checked = 0
     cases = [quiver_d(4), quiver_d(4, [1, 1, 1]), quiver_d(5)]
     for quiver, d_max in ((cases[0], 3), (cases[1], 3), (cases[2], 3)):
-        eng = engine(quiver)
+        eng = engine_for(quiver)
         for root in positive_roots(quiver):
             if quiver.n == 5 and max(root) > 2:
                 continue  # D5 sweep restricted to entries <= 2 (all roots qualify)
@@ -177,7 +168,7 @@ def test_criterion_5_rigid_dimension():
     """Nonempty rigid flag varieties have polynomial degree = expected dimension."""
     checked = 0
     for quiver in criterion_sweep_quivers():
-        eng = engine(quiver)
+        eng = engine_for(quiver)
         roots = positive_roots(quiver)
         for ms in multisets_upto(quiver, roots, 3, 6):
             if not eng.multiset_is_rigid(ms):
@@ -197,7 +188,7 @@ def test_criterion_5_rigid_dimension():
 def test_criterion_6_type_e_desk_scale():
     """E6 indecomposables up to total dimension 8: counts fit one polynomial."""
     quiver = quiver_e(6)
-    eng = engine(quiver)
+    eng = engine_for(quiver)
     checked = 0
     over_budget = []
     from flagmann.errors import BudgetExceededError

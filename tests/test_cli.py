@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,11 @@ import pytest
 import flagmann
 from flagmann import (
     QQ,
+    FlagType,
     PoincareEngine,
     RootMultiset,
     build_rep,
+    engine_for,
     ext1_dim,
     parse_quiver,
     positive_roots,
@@ -197,6 +200,30 @@ class TestPoincare:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+        # a summand count far above the recursion limit is refused before
+        # the summands are expanded; the child's address space is capped at
+        # 512 MiB, so an expansion would end there in a MemoryError
+        rep.write_text("summand: 1 x 30000000\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(flagmann.__file__).parents[1]))
+        huge = subprocess.run(
+            [sys.executable, "-m", "flagmann.cli", "poincare",
+             "--quiver", str(quiver), "--rep", str(rep), "--flag", "30000000"],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)),
+        )
+        assert (huge.returncode, huge.stdout, huge.stderr) == (
+            4, "", "budget exceeded: recursion deeper than the interpreter allows\n"
+        )
+        # a flag deeper than the recursion limit still ends in the
+        # RecursionError branch
+        rep.write_text("summand: 1\n")
+        flag = ";".join(["0"] * 1500 + ["1"])
+        code, out, err = run_cli(
+            ["poincare", "--quiver", str(quiver), "--rep", str(rep), "--flag", flag], capsys
+        )
+        assert (code, out, err) == (
+            4, "", "budget exceeded: recursion deeper than the interpreter allows\n"
+        )
 
     def test_non_utf8_rep_exits_2(self, a2, tmp_path, capsys):
         rep = tmp_path / "bad.rep"
@@ -335,12 +362,19 @@ def worked_bundle_args(a2, tmp_path, w_flag="1,0;1,0"):
 
 class TestRepeatedCalls:
     def test_calls_in_one_process_match_fresh_processes(self, d4, tmp_path, monkeypatch, capsys):
-        # the parser is built once per process; a call must not depend on
-        # the calls made before it in the same process
+        # the parser is built once per process and engines once per
+        # (quiver, budget); a call must not depend on the calls made before
+        # it in the same process
         rep = tmp_path / "d4.rep"
         rep.write_text("summand: 1,1,1,1\nsummand: 0,1,0,0\n")
+        d4_out = tmp_path / "d4_out.qv"
+        d4_out.write_text("vertices: 1 2 3 4\narrow: 2 -> 1\narrow: 2 -> 3\narrow: 4 -> 2\n")
+        verify = ["poincare", "--quiver", str(d4), "--rep", str(rep), "--flag", "0,1,0,0;1,2,1,1", "--verify"]
         calls = [
             ["poincare", "--quiver", str(d4), "--rep", str(rep), "--flag", "0,1,0,0;1,2,1,1"],
+            verify,
+            verify + ["--budget", "2"],
+            ["poincare", "--quiver", str(d4_out), "--rep", str(rep), "--flag", "0,1,0,0;1,2,1,1", "--verify"],
             ["check-odd", "--quiver", str(d4), "--max-dim", "3", "--d-max", "2"],
             ["check-odd", "--quiver", str(d4), "--max-dim", "many"],
         ]
@@ -353,6 +387,23 @@ class TestRepeatedCalls:
             )
             assert run_cli(args, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert fresh.returncode == 2 and "invalid int value" in fresh.stderr
+
+    def test_cli_call_fills_the_shared_engine(self, d4, tmp_path, monkeypatch, capsys):
+        # a `poincare` call memoises its base case in the engine that
+        # `engine_for` hands out, so asking again counts nothing
+        monkeypatch.setattr(importlib.import_module("flagmann.poincare"), "_engines", {})
+        rep = tmp_path / "high.rep"
+        rep.write_text("summand: 1,2,1,1\n")
+        args = ["poincare", "--quiver", str(d4), "--rep", str(rep), "--flag", "0,1,0,0;1,2,1,1"]
+        assert run_cli(args, capsys)[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("counted again")
+
+        monkeypatch.setattr(PoincareEngine, "count", refuse)
+        flag = FlagType(((0, 1, 0, 0), (1, 2, 1, 1)))
+        poly = engine_for(parse_quiver(D4_QUIVER)).base_case((1, 2, 1, 1), flag)
+        assert poly.coefficients == (1, 1)
 
 
 class TestVerifyBundle:

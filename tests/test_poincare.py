@@ -1,8 +1,10 @@
 """The polynomial engine: splittings, ranks, directed order, base cases,
 and oracle equivalence of the full recursion on small sweeps."""
 
+import hashlib
+import importlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -26,7 +28,12 @@ from flagmann import (
     stratum_rank,
 )
 from flagmann.counting import candidate_estimate
-from flagmann.errors import BudgetExceededError, InputError, VerificationError
+from flagmann.errors import (
+    BudgetExceededError,
+    InputError,
+    UnsupportedQuiverError,
+    VerificationError,
+)
 from flagmann.quiver import flag_differences
 
 from helpers import (
@@ -245,6 +252,28 @@ class TestDirectedOrder:
             for i in range(len(order)):
                 for j in range(i, len(order)):
                     assert ext1_dim(reps[i], reps[j]) == 0
+
+    def test_small_multisets_digest(self):
+        # sha256 of the order of every multiset of at most 3 distinct roots
+        # on every A4 and D4 orientation and one E6 orientation, recorded
+        # before the topological sort lost its in-degree tables
+        quivers = [*all_orientations(quiver_a(4)), *all_orientations(quiver_d(4)), quiver_e(6)]
+        h = hashlib.sha256()
+        for quiver in quivers:
+            roots = positive_roots(quiver)
+            for k in (1, 2, 3):
+                for subset in combinations(roots, k):
+                    order = directed_order(RootMultiset.from_roots(quiver, subset))
+                    h.update(repr((quiver.arrows, order)).encode())
+        assert h.hexdigest() == (
+            "5cc8d1e010bedc14130ea82b0def8367801007123d4e1e86bc5934b878a77397"
+        )
+
+    def test_cycle_is_unsupported(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("flagmann.poincare"), "_ext1_roots", lambda *a: 1)
+        ms = RootMultiset(A2, (((0, 1), 1), ((1, 1), 1)))
+        with pytest.raises(UnsupportedQuiverError, match="cycle"):
+            directed_order(ms)
 
 
 class TestBaseCases:
