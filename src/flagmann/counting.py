@@ -9,7 +9,9 @@ keeps every search space as small as possible and makes memoization
 effective.  Its last step is counted in closed form: once every vertex but
 the last one of the walk is fixed, the completions are the subspaces
 between two fixed ones at that vertex, a Gaussian binomial in number; every
-earlier step still walks each of its points.
+earlier step still walks each of its points.  A first step is walked once
+per representation: its exact quotients are tallied with multiplicity, and
+each distinct one is counted once per tail of the flag.
 
 Everything here works over PrimeField representations only.
 """
@@ -37,6 +39,8 @@ from .quiver import FlagType, Quiver, flag_differences
 from .reps import Representation, canonical_subspaces, quotient_maps, raw_maps, subrep_subspaces
 
 DEFAULT_BUDGET = 10**8
+# entries the count memo and the quotient tables hold together before both are cleared
+_MEMO_BOUND = 1_000_000
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +75,7 @@ def candidate_estimate(rep: Representation, flag_type: FlagType) -> int:
 
 
 class _Counter:
-    """Per-(quiver, prime) enumeration engine with a shared count memo."""
+    """Per-(quiver, prime) enumeration engine: a shared count memo and quotient tables."""
 
     def __init__(self, quiver: Quiver, p: int):
         self.quiver = quiver
@@ -88,6 +92,7 @@ class _Counter:
             self.neighbors[s].add(t)
             self.neighbors[t].add(s)
         self.memo: dict = {}
+        self.tables: dict = {}
         self.orders: dict = {}
 
     # -- vertex ordering -------------------------------------------------
@@ -210,19 +215,33 @@ class _Counter:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        if len(self.memo) > 1_000_000:
+        if len(self.memo) + len(self.tables) > _MEMO_BOUND:
             self.memo.clear()
+            self.tables.clear()
         k = diffs[0]
         total = 0
         if len(diffs) == 2:
             for _, i, low, up in self.intervals(dims, maps, k):
                 total += gaussian_binomial(len(up) - len(low), k[i] - len(low), self.p)
         else:
-            for sub in self.subreps(dims, maps, k):
-                qdims, qmaps = quotient_maps(self.arrows, dims, maps, sub, self.p)
-                total += self.count(qdims, qmaps, diffs[1:])
+            for (qdims, qmaps), mult in self.quotients(dims, maps, k).items():
+                total += mult * self.count(qdims, qmaps, diffs[1:])
         self.memo[key] = total
         return total
+
+    def quotients(self, dims: tuple[int, ...], maps: tuple, k: tuple[int, ...]) -> dict:
+        """Each exact quotient `(qdims, qmaps)` by a `k`-dimensional
+        subrepresentation, with the number of subrepresentations giving it.
+        A table is stored only once its walk has finished."""
+        key = (dims, maps, k)
+        table = self.tables.get(key)
+        if table is None:
+            table = {}
+            for sub in self.subreps(dims, maps, k):
+                quot = quotient_maps(self.arrows, dims, maps, sub, self.p)
+                table[quot] = table.get(quot, 0) + 1
+            self.tables[key] = table
+        return table
 
 
 def _intersect_rref(a, b, n, p):

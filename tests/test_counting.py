@@ -3,6 +3,7 @@ the partition identity, budget guardrail and deterministic ordering."""
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from flagmann import (
 from flagmann import counting
 from flagmann.counting import candidate_estimate
 from flagmann.errors import BudgetExceededError, InputError, InternalConsistencyError
+from flagmann.reps import quotient_maps, raw_maps
 
 from helpers import multisets_upto, quiver_a, quiver_d, quiver_e, random_instance
 
@@ -118,7 +120,7 @@ class TestCountFlags:
         # orientations of A4, D4 and E6, random root multisets and flag types
         rng = random.Random(20190)
         shapes = (quiver_a(4), quiver_d(4), quiver_e(6))
-        cases = two_step = zero_vertex = 0
+        cases = two_step = tabled = zero_vertex = 0
         while cases < 300:
             ms, u = random_instance(rng, shapes[cases % 3])
             rep = build_rep(ms, PrimeField(rng.choice((2, 3, 5))))
@@ -130,9 +132,11 @@ class TestCountFlags:
             if u.d == 2:
                 assert counted == len(list(enumerate_subreps(rep, u.steps[0])))
                 two_step += 1
+            # three or more steps sum over the first step's quotient table
+            tabled += u.d >= 3
             zero_vertex += 0 in ms.total
             cases += 1
-        assert two_step >= 60 and zero_vertex >= 60
+        assert two_step >= 60 and tabled >= 60 and zero_vertex >= 60
 
     def test_width_zero_flags_are_one_point(self):
         empty = Quiver((), ())
@@ -146,6 +150,90 @@ class TestCountFlags:
                     u = FlagType((zero,) * d)
                     assert count_flags(rep, u) == 1
                     assert len(list(enumerate_flags(rep, u))) == 1
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    @pytest.mark.parametrize(
+        "base", [quiver_a(4), quiver_d(4), quiver_e(6)], ids=["A4", "D4", "E6"]
+    )
+    def test_quotient_table_tallies_the_walk(self, base, field):
+        # each first step's table holds the exact quotient of every walked
+        # subrepresentation, counted with multiplicity
+        rng = random.Random(4711)
+        rows = grouped = tables = 0
+        while tables < 20:
+            ms, _ = random_instance(rng, base)
+            rep = build_rep(ms, field)
+            # the dimension of a direct summand, so the table is never empty
+            k = (0,) * rep.quiver.n
+            for root, mult in ms.items:
+                c = rng.randint(0, mult)
+                k = tuple(x + c * r for x, r in zip(k, root))
+            if candidate_estimate(rep, FlagType((k, rep.dims))) > 2000:
+                continue
+            tables += 1
+            maps = raw_maps(rep)
+            table = counting._Counter(rep.quiver, field.p).quotients(rep.dims, maps, k)
+            subs = list(enumerate_subreps(rep, k))
+            assert sum(table.values()) == len(subs)
+            assert table == Counter(
+                quotient_maps(rep.quiver.arrow_indices, rep.dims, maps, sub, field.p)
+                for sub in subs
+            )
+            rows += len(table)
+            grouped += len(table) < len(subs)
+        assert rows >= 20 and grouped >= 1
+
+    def test_tiny_bound_clears_memo_and_tables_mid_count(self, monkeypatch):
+        # 3- and 4-step flags counted with both dicts cleared again and again
+        # give the counts of the default bound
+        rng = random.Random(1789)
+        sweep = []
+        for base in (quiver_a(4), quiver_d(4), quiver_e(6)) * 4:
+            ms, _ = random_instance(rng, base)
+            rep = build_rep(ms, PrimeField(rng.choice((2, 3))))
+            for d in (3, 4, 3, 4):
+                steps = [rep.dims]
+                for _ in range(d - 1):
+                    steps.insert(0, tuple(rng.randint(0, x) for x in steps[0]))
+                u = FlagType(tuple(steps))
+                if candidate_estimate(rep, u) <= 20000:
+                    sweep.append((rep, u))
+        assert len(sweep) >= 30 and {u.d for _, u in sweep} == {3, 4}
+        monkeypatch.setattr(counting, "_counters", {})
+        expected = [count_flags(rep, u) for rep, u in sweep]
+        # the default bound kept every entry of the sweep, far more than 2
+        kept = sum(len(c.memo) + len(c.tables) for c in counting._counters.values())
+        assert kept >= 100 and sum(map(bool, expected)) >= 20
+        monkeypatch.setattr(counting, "_counters", {})
+        monkeypatch.setattr(counting, "_MEMO_BOUND", 2)
+        for (rep, u), want in zip(sweep, expected):
+            assert count_flags(rep, u) == want
+            ctr = counting._counter(rep)
+            assert len(ctr.memo) + len(ctr.tables) <= 2 + 1 + u.d
+
+    def test_aborted_count_stores_no_table_and_no_memo_entry(self, monkeypatch):
+        rep = build_rep(RootMultiset(quiver_d(4), (((1, 1, 1, 1), 1), ((0, 1, 0, 0), 2))), F2)
+        u = FlagType(((0, 1, 0, 0), (1, 2, 1, 1), rep.dims))
+        diffs = counting.flag_differences(u)
+        maps = raw_maps(rep)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return quotient_maps(*args)
+
+        monkeypatch.setattr(counting, "_counters", {})
+        monkeypatch.setattr(counting, "quotient_maps", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            count_flags(rep, u)
+        ctr = counting._counter(rep)
+        assert (rep.dims, maps, diffs) not in ctr.memo
+        assert (rep.dims, maps, diffs[0]) not in ctr.tables
+        monkeypatch.setattr(counting, "quotient_maps", quotient_maps)
+        assert count_flags(rep, u) == sum(1 for _ in enumerate_flags(rep, u)) > 0
+        assert (rep.dims, maps, diffs[0]) in ctr.tables
 
     def test_pinned_enumeration(self):
         # sha256 of every enumerate_flags point in yield order, recorded before
