@@ -154,8 +154,10 @@ class _Counter:
         order = self._vertex_order(gap)
         last = self.n - 1
         chosen: list[tuple | None] = [None] * self.n
-
-        def walk(pos: int) -> Iterator[tuple]:
+        # depth first: one iterator of candidate subspaces per fixed position
+        pending: list[Iterator[tuple]] = []
+        pos = 0
+        while True:
             i = order[pos]
             low = lowers[i]
             for a, s in self.in_arrows[i]:
@@ -163,25 +165,32 @@ class _Counter:
                     img = image_rowspace(maps[a], chosen[s], p)
                     if img:
                         low = sum_rowspaces(low, img, p) if low else img
-            if len(low) > target[i]:
+            if len(low) <= target[i]:
+                up = uppers[i]
+                for a, t in self.out_arrows[i]:
+                    if chosen[t] is not None:
+                        pre = preimage_rowspace(maps[a], chosen[t], dims[i], p)
+                        up = _intersect_rref(up, pre, dims[i], p)
+                # low <= up is trivially true when low is 0 or up is everything
+                if len(up) >= target[i] and (
+                    not low or len(up) == dims[i] or rowspace_leq(low, up, p)
+                ):
+                    if pos == last:
+                        yield chosen, i, low, up
+                    else:
+                        pending.append(subspaces_between(low, up, target[i], p))
+            # move on to the next candidate at the deepest open position
+            while pending:
+                j = order[len(pending) - 1]
+                sub = next(pending[-1], None)
+                if sub is not None:
+                    chosen[j] = sub
+                    break
+                chosen[j] = None
+                pending.pop()
+            else:
                 return
-            up = uppers[i]
-            for a, t in self.out_arrows[i]:
-                if chosen[t] is not None:
-                    pre = preimage_rowspace(maps[a], chosen[t], dims[i], p)
-                    up = _intersect_rref(up, pre, dims[i], p)
-            # low <= up is trivially true when low is 0 or up is everything
-            if len(up) < target[i] or (low and len(up) < dims[i] and not rowspace_leq(low, up, p)):
-                return
-            if pos == last:
-                yield chosen, i, low, up
-                return
-            for sub in subspaces_between(low, up, target[i], p):
-                chosen[i] = sub
-                yield from walk(pos + 1)
-            chosen[i] = None
-
-        yield from walk(0)
+            pos = len(pending)
 
     def subreps(
         self,
@@ -310,17 +319,21 @@ def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPo
     ctr = _counter(rep)
     maps = raw_maps(rep)
     steps = flag_type.steps
-
-    def chain(r: int, prev: tuple | None, acc: list) -> Iterator[FlagPoint]:
+    # depth first: one subrepresentation iterator per step, each inside the last
+    pending = [ctr.subreps(rep.dims, maps, steps[0])]
+    acc: list[tuple] = []
+    while pending:
+        sub = next(pending[-1], None)
+        if sub is None:
+            pending.pop()
+            continue
+        r = len(pending)
+        del acc[r - 1 :]
+        acc.append(sub)
         if r == len(steps):
             yield FlagPoint(tuple(acc))
-            return
-        for sub in ctr.subreps(rep.dims, maps, steps[r], None, prev):
-            acc.append(sub)
-            yield from chain(r + 1, sub, acc)
-            acc.pop()
-
-    yield from chain(0, None, [])
+        else:
+            pending.append(ctr.subreps(rep.dims, maps, steps[r], None, sub))
 
 
 def count_flags(rep: Representation, flag_type: FlagType, budget: int | None = None) -> int:

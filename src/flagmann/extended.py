@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .counting import FlagPoint, count_flags, sample_flags
 from .errors import InputError
-from .linalg import Matrix, PrimeField, mat_mul_rows, rowspace_contains
+from .linalg import Matrix, PrimeField, identity_rows, mat_mul_rows, rowspace_contains
 from .quiver import FlagType, Quiver
 from .reps import (
     Representation,
@@ -131,7 +131,7 @@ def _embedding(v_rep: Representation, depth: int) -> tuple:
     """The layer-constant embedding as (extended quiver, dims, raw arrow
     matrices): V's maps in every layer, identity verticals."""
     ext = extend_quiver(v_rep.quiver, depth)
-    ids = tuple(Matrix.identity(v_rep.field, n).entries for n in v_rep.dims)
+    ids = tuple(identity_rows(v_rep.field, n) for n in v_rep.dims)
     return ext, v_rep.dims * depth, raw_maps(v_rep) * depth + ids * (depth - 1)
 
 

@@ -283,6 +283,7 @@ def preimage_rowspace(m: Rows, target_basis: Rows, ncols: int, p: int) -> Rows:
     return null_space_rows(comp, ncols, p)
 
 
+@lru_cache(maxsize=1 << 12)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n."""
     if k < 0 or k > n:
@@ -371,6 +372,12 @@ def subspaces_between(lower: Rows, upper: Rows, k: int, p: int) -> Iterator[Rows
         yield rref_rows(ambient, p)[0]
 
 
+def identity_rows(field: FieldSpec, n: int) -> Rows:
+    """The n x n identity as row tuples, entries in the field's canonical form."""
+    z, o = field.coerce(0), field.coerce(1)
+    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+
+
 # ---------------------------------------------------------------------------
 # Matrix class
 # ---------------------------------------------------------------------------
@@ -401,8 +408,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        z, o = field.coerce(0), field.coerce(1)
-        return cls(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return cls(field, n, n, identity_rows(field, n))
 
     def __post_init__(self):
         if len(self.entries) != self.nrows or any(len(r) != self.ncols for r in self.entries):

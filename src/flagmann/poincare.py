@@ -186,35 +186,24 @@ def enumerate_splittings(
             "adding up to the ambient weight"
         )
     arrows = quiver.arrow_indices
-    out: list[StratumSplit] = []
-
-    def descend(r: int, above: DimVector, rank: int, v_acc: list, w_acc: list):
-        # v_acc and w_acc hold the sub and quotient steps r..d-1, top step first
-        if r == 0:
-            out.append(StratumSplit(tuple(reversed(v_acc)), tuple(reversed(w_acc)), rank))
-            return
+    # partial splittings (v steps, w steps, rank), lowest chosen step first,
+    # each extended one step down in box order; an empty box drops it
+    partial = [((sub_total,), (quot_total,), 0)]
+    for r in range(len(steps) - 1, 0, -1):
         below, top = steps[r - 1], steps[r]
-        ranges = []
-        for i in range(n):
-            lo = max(0, above[i] - top[i] + below[i])
-            hi = min(below[i], above[i])
-            if lo > hi:
-                return
-            ranges.append(range(lo, hi + 1))
-        for choice in product(*ranges):
-            w_step = tuple(map(operator.sub, below, choice))
-            v_bar = tuple(map(operator.sub, above, choice))
-            term = sum(map(operator.mul, w_step, v_bar))
-            for s, t in arrows:
-                term -= w_step[s] * v_bar[t]
-            v_acc.append(choice)
-            w_acc.append(w_step)
-            descend(r - 1, choice, rank + term, v_acc, w_acc)
-            v_acc.pop()
-            w_acc.pop()
-
-    descend(len(steps) - 1, sub_total, 0, [sub_total], [quot_total])
-    return tuple(out)
+        extended = []
+        for v_acc, w_acc, rank in partial:
+            above = v_acc[0]
+            ranges = [range(max(0, a - t + b), min(b, a) + 1) for a, t, b in zip(above, top, below)]
+            for choice in product(*ranges):
+                w_step = tuple(map(operator.sub, below, choice))
+                v_bar = tuple(map(operator.sub, above, choice))
+                term = sum(map(operator.mul, w_step, v_bar))
+                for s, t in arrows:
+                    term -= w_step[s] * v_bar[t]
+                extended.append(((choice,) + v_acc, (w_step,) + w_acc, rank + term))
+        partial = extended
+    return tuple(StratumSplit(*split) for split in partial)
 
 
 @lru_cache(maxsize=None)

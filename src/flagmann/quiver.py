@@ -112,19 +112,19 @@ def flag_types(weight: DimVector, d_max: int) -> Iterator[FlagType]:
     Ordered by the number of steps d, then lexicographically in the steps.
     """
     weight = tuple(weight)
-
-    def chains(r: int, prev: DimVector) -> Iterator[tuple[DimVector, ...]]:
-        # monotone chains of r steps between prev and weight
-        if r == 0:
-            yield ()
-            return
-        for step in product(*(range(p, w + 1) for p, w in zip(prev, weight))):
-            for rest in chains(r - 1, step):
-                yield (step,) + rest
-
     for d in range(1, d_max + 1):
-        for lower in chains(d - 1, (0,) * len(weight)):
+        for lower in _chains(d - 1, (0,) * len(weight), weight):
             yield FlagType(lower + (weight,))
+
+
+def _chains(r: int, prev: DimVector, weight: DimVector) -> Iterator[tuple[DimVector, ...]]:
+    """Monotone chains of r steps between prev and weight, lexicographically."""
+    if r == 0:
+        yield ()
+        return
+    for step in product(*(range(p, w + 1) for p, w in zip(prev, weight))):
+        for rest in _chains(r - 1, step, weight):
+            yield (step,) + rest
 
 
 # ---------------------------------------------------------------------------

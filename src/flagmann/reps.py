@@ -276,60 +276,20 @@ def admissible_vertex_order(quiver: Quiver) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _reverse_at(quiver: Quiver, idx: int) -> Quiver:
-    vname = quiver.vertices[idx]
-    arrows = tuple(
-        (t, s) if s == vname or t == vname else (s, t) for s, t in quiver.arrows
-    )
-    return Quiver(quiver.vertices, arrows)
-
-
-def _reflect_at_source(rep: Representation, idx: int) -> Representation:
-    """Apply the source reflection at vertex `idx`, reversing its arrows.
-
-    The new space at `idx` is the cokernel of V_i -> sum of targets of the
-    outgoing arrows; every reversed arrow gets the induced projection.
-    """
-    q = rep.quiver
-    p = rep.field.char
-    out_arrows = [a for a, (s, _) in enumerate(q.arrow_indices) if s == idx]
-    if any(t == idx for _, t in q.arrow_indices):
-        raise InternalConsistencyError(f"vertex {q.vertices[idx]} is not a source")
-    blocks = []
-    offsets = []
-    total = 0
-    for a in out_arrows:
-        offsets.append(total)
-        total += rep.arrow_maps[a].nrows
-        blocks.append(rep.arrow_maps[a].entries)
-    # column space of the stacked map, as a row space of its transpose
-    stacked_cols = tuple(
-        tuple(blocks[bi][r][c] for bi in range(len(blocks)) for r in range(len(blocks[bi])))
-        for c in range(rep.dims[idx])
-    )
-    colspace, _ = rref_rows(stacked_cols, p)
-    if len(colspace) != rep.dims[idx]:
-        raise InternalConsistencyError("reflection hit a non-injective map")
-    qmap, _ = quotient_map_rows(colspace, total, p)
-    new_dim = total - rep.dims[idx]
-    new_dims = rep.dims[:idx] + (new_dim,) + rep.dims[idx + 1 :]
-    new_quiver = _reverse_at(q, idx)
-    new_maps = list(rep.arrow_maps)
-    for a, off in zip(out_arrows, offsets):
-        j = q.arrow_indices[a][1]
-        cols = range(off, off + rep.dims[j])
-        entries = tuple(tuple(row[c] for c in cols) for row in qmap)
-        new_maps[a] = Matrix(rep.field, new_dim, rep.dims[j], entries)
-    return Representation(new_quiver, rep.field, new_dims, tuple(new_maps))
-
-
 def _reflection_walk(quiver: Quiver, root: DimVector) -> Representation:
     """The indecomposable for a positive root over QQ: walk the root down to a
     simple one along the cyclic admissible reflection sequence, then lift the
-    simple representation back with source reflections."""
+    simple representation back with source reflections.
+
+    The lift runs on raw data: the orientation as `(s, t)` pairs, the
+    dimensions, and one tuple of rows per arrow; only the result is
+    validated.  A source reflection at `i` replaces V_i by the cokernel of
+    V_i -> sum of the targets of its arrows, and every reversed arrow gets
+    the induced projection.
+    """
     adj = _undirected_adjacency(quiver)
     order = admissible_vertex_order(quiver)
-    quivers = [quiver]
+    arrows = list(quiver.arrow_indices)
     word: list[int] = []
     cur = root
     step = 0
@@ -341,16 +301,35 @@ def _reflection_walk(quiver: Quiver, root: DimVector) -> Representation:
         if any(x < 0 for x in nxt):
             if sum(cur) != 1 or cur[i] != 1:
                 raise InternalConsistencyError("reflection walk ended off a simple root")
-            base_vertex = i
             break
         word.append(i)
-        quivers.append(_reverse_at(quivers[-1], i))
+        # the sink reflection at i reverses the arrows at i
+        arrows = [(t, s) if i in (s, t) else (s, t) for s, t in arrows]
         cur = nxt
         step += 1
-    rep = simple_representation(quivers[-1], base_vertex, QQ)
+    dims = list(cur)
+    maps = [tuple(() for _ in range(dims[t])) for _, t in arrows]
     for i in reversed(word):
-        rep = _reflect_at_source(rep, i)
-    return rep
+        if any(t == i for _, t in arrows):
+            raise InternalConsistencyError(f"vertex {quiver.vertices[i]} is not a source")
+        out_arrows = [a for a, (s, _) in enumerate(arrows) if s == i]
+        # column space of the stacked map, as a row space of its transpose
+        stacked_cols = tuple(
+            tuple(row[c] for a in out_arrows for row in maps[a]) for c in range(dims[i])
+        )
+        colspace, _ = rref_rows(stacked_cols, 0)
+        if len(colspace) != dims[i]:
+            raise InternalConsistencyError("reflection hit a non-injective map")
+        total = sum(dims[arrows[a][1]] for a in out_arrows)
+        qmap, _ = quotient_map_rows(colspace, total, 0)
+        off = 0
+        for a in out_arrows:
+            j = arrows[a][1]
+            maps[a] = tuple(row[off : off + dims[j]] for row in qmap)
+            arrows[a] = (j, i)
+            off += dims[j]
+        dims[i] = total - dims[i]
+    return from_raw_maps(quiver, QQ, tuple(dims), tuple(maps))
 
 
 def _reduce_mod_p(rep: Representation, field: PrimeField) -> Representation:
@@ -395,10 +374,12 @@ def indecomposable_for_root(quiver: Quiver, root: DimVector, field: FieldSpec) -
 @lru_cache(maxsize=None)
 def build_rep(multiset: RootMultiset, field: FieldSpec) -> Representation:
     """Block-diagonal sum of the indecomposables named by the multiset."""
-    rep = zero_representation(multiset.quiver, field)
-    for root in multiset.expand():
-        rep = direct_sum(rep, indecomposable_for_root(multiset.quiver, root, field))
-    return rep
+    quiver = multiset.quiver
+    parts = [indecomposable_for_root(quiver, root, field) for root in multiset.expand()]
+    maps = tuple(
+        block_diag(field, [rep.arrow_maps[a] for rep in parts]) for a in range(len(quiver.arrows))
+    )
+    return Representation(quiver, field, multiset.total, maps)
 
 
 # ---------------------------------------------------------------------------

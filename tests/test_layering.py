@@ -1,7 +1,7 @@
 """Layering: every module of the package imports at module level only, so
 the import graph is the one the module headers show, and exact rational
-arithmetic has one owner, `linalg`; and every name the benchmark's tracer
-wraps or reads still exists."""
+arithmetic has one owner, `linalg`; no nested function calls itself; and
+every name the benchmark's tracer wraps or reads still exists."""
 
 import ast
 import importlib.util
@@ -26,6 +26,28 @@ def test_no_import_inside_a_function():
     assert len(modules) >= 9
     found = set().union(*map(imports_in_functions, modules))
     assert not found, f"imports inside function bodies: {sorted(found)}"
+
+
+def self_referencing_nested_functions(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                found.add(f"{path.name}:{inner.lineno} {inner.name}")
+    return found
+
+
+def test_no_nested_function_refers_to_itself():
+    # such a function and its closure cell form a reference cycle on every
+    # call, which only the cyclic garbage collector frees
+    modules = sorted(SRC.glob("*.py"))
+    found = set().union(*map(self_referencing_nested_functions, modules))
+    assert not found, f"self-referencing nested functions: {sorted(found)}"
 
 
 def imported_modules(path: Path) -> set[str]:

@@ -207,13 +207,15 @@ class TestIndecomposables:
              "80c4ba2e8fa8649a1f7c8d2072056ddd288d3ab20c13a9e081bd3652cab80c94"),
             ([quiver_e(7)], (2, 3), 189,
              "6f11e7e381c2f9f09f963206002a9541784bb0309e304316a65efd54a676734f"),
+            ([quiver_e(8)], (2, 3), 360,
+             "0b184a78d04c855ae19f4226824786773d9ec5286fdc310cccfd95d8522a8347"),
         ],
-        ids=["A4", "D4", "E6", "E7"],
+        ids=["A4", "D4", "E6", "E7", "E8"],
     )
     def test_pinned_matrices(self, quivers, primes, count, digest):
         # sha256 of (dims, arrow-matrix entries) of every indecomposable, over
         # QQ and each prime field, recorded when every field still ran its
-        # own reflection walk
+        # own reflection walk (E8: before the walk ran on raw row tuples)
         fields = (QQ,) + tuple(PrimeField(p) for p in primes)
         sha = hashlib.sha256()
         built = 0
@@ -262,6 +264,24 @@ class TestRootMultisetAndBuild:
     def test_empty_multiset(self):
         rep = build_rep(RootMultiset(A2, ()), QQ)
         assert rep.dims == (0, 0)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+    def test_matches_a_fold_of_direct_sums(self, field):
+        # build_rep assembles each arrow's block diagonal once; the reference
+        # folds direct_sum one summand at a time
+        cases = [
+            (quiver_a(4, [0, 1, 0]), 0, ((0, 3), (4, 2), (9, 1))),
+            (quiver_d(4, [1, 0, 1]), 5, ((0, 1), (5, 3), (11, 2))),
+            (quiver_e(6), 0, ((1, 1), (20, 2), (35, 1), (7, 4))),
+        ]
+        for quiver, orientation, picks in cases:
+            quiver = list(all_orientations(quiver))[orientation]
+            roots = positive_roots(quiver)
+            ms = RootMultiset(quiver, tuple((roots[i], mult) for i, mult in picks))
+            folded = zero_representation(quiver, field)
+            for root in ms.expand():
+                folded = direct_sum(folded, indecomposable_for_root(quiver, root, field))
+            assert build_rep(ms, field) == folded
 
     def test_hom_additive_in_sums(self):
         roots = positive_roots(A2)
