@@ -30,11 +30,9 @@ from .extended import (
     verify_fiber_rank,
 )
 from .linalg import (
-    Matrix,
     PrimeField,
     QQ,
     Rationals,
-    enumerate_subspaces,
     gaussian_binomial,
 )
 from .poincare import (
@@ -68,13 +66,10 @@ from .reps import (
     direct_sum,
     ext1_dim,
     hom_dim,
-    hom_space,
     indecomposable_for_root,
     parse_rep_spec,
     quotient_representation,
-    simple_representation,
     subrepresentation,
-    zero_representation,
 )
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .linalg import (
     sum_rowspaces,
 )
 from .quiver import FlagType, Quiver, flag_differences
-from .reps import Representation, canonical_subspaces, quotient_maps, raw_maps, subrep_subspaces
+from .reps import Representation, canonical_subspaces, quotient_maps, subrep_subspaces
 
 DEFAULT_BUDGET = 10**8
 # entries the count memo and the quotient tables hold together before both are cleared
@@ -310,17 +310,16 @@ def enumerate_subreps(
         within = canonical_subspaces(rep, within)
     if containing is not None:
         containing = canonical_subspaces(rep, containing)
-    yield from ctr.subreps(rep.dims, raw_maps(rep), target, within, containing)
+    yield from ctr.subreps(rep.dims, rep.maps, target, within, containing)
 
 
 def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPoint]:
     """All flags of the given type in `rep`, as concrete subspace chains."""
     _check_weight(rep, flag_type)
     ctr = _counter(rep)
-    maps = raw_maps(rep)
     steps = flag_type.steps
     # depth first: one subrepresentation iterator per step, each inside the last
-    pending = [ctr.subreps(rep.dims, maps, steps[0])]
+    pending = [ctr.subreps(rep.dims, rep.maps, steps[0])]
     acc: list[tuple] = []
     while pending:
         sub = next(pending[-1], None)
@@ -333,14 +332,14 @@ def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPo
         if r == len(steps):
             yield FlagPoint(tuple(acc))
         else:
-            pending.append(ctr.subreps(rep.dims, maps, steps[r], None, sub))
+            pending.append(ctr.subreps(rep.dims, rep.maps, steps[r], None, sub))
 
 
 def count_flags(rep: Representation, flag_type: FlagType, budget: int | None = None) -> int:
     """|F_u(V)(F_p)| by exhaustive chained enumeration (quotient form)."""
     _check_budget(rep, flag_type, budget)
     ctr = _counter(rep)
-    return ctr.count(rep.dims, raw_maps(rep), flag_differences(flag_type))
+    return ctr.count(rep.dims, rep.maps, flag_differences(flag_type))
 
 
 def intersection_dims(point: FlagPoint, subspaces: tuple, p: int) -> tuple:
@@ -402,16 +401,16 @@ def sample_flags(
     flag_type: FlagType,
     count: int,
     rng: random.Random,
-    budget: int | None = None,
+    size: int,
 ) -> list[FlagPoint]:
     """Uniform sample (with replacement) from the full flag enumeration.
 
-    The pool is counted, `count` indices are drawn from it, and one pass of
-    `enumerate_flags` picks the drawn points, stopping at the last one.
+    `size` is the pool's size as `count_flags` gave it, so the budget has
+    already been applied.  `count` indices are drawn from the pool, and one
+    pass of `enumerate_flags` picks the drawn points, stopping at the last one.
     """
     if count < 0:
         raise InputError(f"sample count must be >= 0, got {count}")
-    size = count_flags(rep, flag_type, budget)
     draws = [rng.randrange(size) for _ in range(count)] if size else []
     picked = dict.fromkeys(draws)
     if picked:

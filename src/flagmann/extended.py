@@ -7,8 +7,8 @@ embedding of V, and where the fiber of a stratum over a pair of flags is a
 Hom space computable by exact linear algebra.  That computation is what this
 module provides, together with a sampling verifier for the bundle-rank
 formula.  A flag conversion validates the flag once (`flag_subspaces`) and
-builds its sub and quotient from the embedding's raw matrices; only the
-result is wrapped, and its layer squares checked, as objects.
+builds its sub and quotient from the embedding's row tuples; only the result
+is validated, as a representation whose layer squares are checked.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ from functools import lru_cache
 
 from .counting import FlagPoint, count_flags, sample_flags
 from .errors import InputError
-from .linalg import Matrix, PrimeField, identity_rows, mat_mul_rows, rowspace_contains
+from .linalg import PrimeField, identity_rows, mat_mul_rows, rowspace_contains
 from .quiver import FlagType, Quiver
 from .reps import (
     Representation,
     ext1_dim,
-    from_raw_maps,
     hom_dim,
     quotient_maps,
-    raw_maps,
     sub_maps,
     subrep_subspaces,
 )
@@ -86,31 +84,14 @@ class Rep0Representation:
     def __post_init__(self):
         if self.rep.quiver != self.extended.quiver:
             raise InputError("representation does not live on the extended quiver")
-        _check_squares(self.extended, self.rep.dims, raw_maps(self.rep), self.rep.field.char)
-
-    @property
-    def depth(self) -> int:
-        return self.extended.depth
-
-    def layer(self, r: int) -> Representation:
-        """Layer r (0-based) as a representation of the base quiver."""
-        ext = self.extended
-        dims = tuple(self.rep.dims[ext.vertex_position(i, r)] for i in range(ext.n))
-        maps = tuple(
-            self.rep.arrow_maps[ext.horizontal_position(r, a)]
-            for a in range(len(ext.base.arrows))
-        )
-        return Representation(ext.base, self.rep.field, dims, maps)
-
-    def vertical_map(self, r: int, i: int) -> Matrix:
-        return self.rep.arrow_maps[self.extended.vertical_position(r, i)]
+        _check_squares(self.extended, self.rep.dims, self.rep.maps, self.rep.field.char)
 
 
 def _check_squares(ext: ExtendedQuiver, dims: tuple, maps: tuple, p: int) -> None:
-    """Raise unless every layer square of the raw arrow matrices commutes."""
+    """Raise unless every layer square of the arrow matrices commutes."""
 
     def product(a, b, ncols):
-        # an inner dimension 0 gives the zero matrix, as in Matrix.__mul__
+        # an inner dimension 0 gives the zero matrix
         return mat_mul_rows(a, b, p) if b else tuple((0,) * ncols for _ in a)
 
     for r in range(ext.depth - 1):
@@ -128,17 +109,17 @@ def _check_squares(ext: ExtendedQuiver, dims: tuple, maps: tuple, p: int) -> Non
 
 
 def _embedding(v_rep: Representation, depth: int) -> tuple:
-    """The layer-constant embedding as (extended quiver, dims, raw arrow
+    """The layer-constant embedding as (extended quiver, dims, arrow
     matrices): V's maps in every layer, identity verticals."""
     ext = extend_quiver(v_rep.quiver, depth)
     ids = tuple(identity_rows(v_rep.field, n) for n in v_rep.dims)
-    return ext, v_rep.dims * depth, raw_maps(v_rep) * depth + ids * (depth - 1)
+    return ext, v_rep.dims * depth, v_rep.maps * depth + ids * (depth - 1)
 
 
 def phi(v_rep: Representation, depth: int) -> Rep0Representation:
     """Layer-constant embedding: every layer is V, verticals are identities."""
     ext, dims, maps = _embedding(v_rep, depth)
-    return Rep0Representation(ext, from_raw_maps(ext.quiver, v_rep.field, dims, maps))
+    return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
 
 
 def flag_subspaces(v_rep: Representation, point: FlagPoint) -> tuple:
@@ -161,7 +142,7 @@ def flag_subspaces(v_rep: Representation, point: FlagPoint) -> tuple:
 
 
 def _checked_embedding(v_rep: Representation, point: FlagPoint) -> tuple:
-    """The raw embedding, its squares checked, and the flag's subspaces over it:
+    """The embedding, its squares checked, and the flag's subspaces over it:
     stable under horizontal arrows step by step, under verticals as they nest."""
     ext, dims, maps = _embedding(v_rep, point.d)
     _check_squares(ext, dims, maps, v_rep.field.char)
@@ -172,14 +153,14 @@ def flag_to_subrep(v_rep: Representation, point: FlagPoint) -> Rep0Representatio
     """The flag as a subrepresentation of the layer-constant embedding."""
     ext, _, maps, subs = _checked_embedding(v_rep, point)
     dims, maps = sub_maps(ext.quiver.arrow_indices, maps, subs, v_rep.field.char)
-    return Rep0Representation(ext, from_raw_maps(ext.quiver, v_rep.field, dims, maps))
+    return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
 
 
 def quotient_by_flag(v_rep: Representation, point: FlagPoint) -> Rep0Representation:
     """The quotient of the layer-constant embedding by the flag subrepresentation."""
     ext, dims, maps, subs = _checked_embedding(v_rep, point)
     dims, maps = quotient_maps(ext.quiver.arrow_indices, dims, maps, subs, v_rep.field.char)
-    return Rep0Representation(ext, from_raw_maps(ext.quiver, v_rep.field, dims, maps))
+    return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
 
 
 def hom_dim_rep0(w0: Rep0Representation, v0: Rep0Representation) -> int:
@@ -232,8 +213,8 @@ def verify_fiber_rank(
     sub_count = count_flags(v_rep, sub_flag, budget)
     quot_count = count_flags(w_rep, quot_flag, budget)
     rng = random.Random(seed)
-    v_pool = sample_flags(v_rep, sub_flag, samples, rng, budget)
-    w_pool = sample_flags(w_rep, quot_flag, samples, rng, budget)
+    v_pool = sample_flags(v_rep, sub_flag, samples, rng, sub_count)
+    w_pool = sample_flags(w_rep, quot_flag, samples, rng, quot_count)
     fiber_dims = []
     deviations = []
     for v_point, w_point in zip(v_pool, w_pool):

@@ -1,10 +1,8 @@
 """Exact linear algebra over the rationals and over prime fields F_p.
 
-Two layers live here.  The `Matrix` class is the convenient, field-agnostic
-surface used by the representation-theoretic modules.  Below it sits a set of
-row-tuple helpers parameterised by a characteristic `p` (`p == 0` means exact
-rationals via `Fraction`); these are the hot path of the subspace enumerator
-and are deliberately allocation-light.
+A matrix is a tuple of row tuples.  Every helper takes the characteristic
+`p` (`p == 0` means exact rationals via `Fraction`); they are the hot path of
+the subspace enumerator and are deliberately allocation-light.
 
 Subspaces are always handled as row spaces of reduced-row-echelon matrices
 (tuples of row tuples), which doubles as their canonical form.
@@ -254,7 +252,7 @@ def image_rowspace(m: Rows, basis: Rows, p: int) -> Rows:
 
 @lru_cache(maxsize=1 << 20)
 def quotient_map_rows(basis: Rows, n: int, p: int) -> tuple[Rows, tuple[int, ...]]:
-    """Matrix of F^n -> F^n/span(basis) in complement coordinates.
+    """The matrix of F^n -> F^n/span(basis) in complement coordinates.
 
     Returns (Q, nonpivot column indices); the section of Q sends the a-th
     quotient coordinate to the unit vector at the a-th nonpivot column.
@@ -323,15 +321,6 @@ def _rref_bases(n: int, k: int, p: int) -> tuple[Rows, ...]:
     return tuple(out)
 
 
-def enumerate_subspaces(n: int, k: int, p: int) -> Iterator[Rows]:
-    """Yield every k-dimensional subspace of F_p^n exactly once, as an RREF basis."""
-    if not (0 <= k <= n):
-        raise InputError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    yield from _rref_bases(n, k, p)
-
-
 def subspaces_between(lower: Rows, upper: Rows, k: int, p: int) -> Iterator[Rows]:
     """Subspaces S with lower <= S <= upper and dim S = k, in ambient coordinates.
 
@@ -376,86 +365,3 @@ def identity_rows(field: FieldSpec, n: int) -> Rows:
     """The n x n identity as row tuples, entries in the field's canonical form."""
     z, o = field.coerce(0), field.coerce(1)
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
-# ---------------------------------------------------------------------------
-# Matrix class
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix over a FieldSpec, entries in canonical form."""
-
-    field: FieldSpec
-    nrows: int
-    ncols: int
-    entries: tuple[tuple, ...]
-
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows) -> "Matrix":
-        rows = [tuple(field.coerce(x) for x in r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise InputError("ragged matrix rows")
-        return cls(field, nrows, ncols, tuple(rows))
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        z = field.coerce(0)
-        return cls(field, nrows, ncols, tuple(tuple([z] * ncols) for _ in range(nrows)))
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, n, n, identity_rows(field, n))
-
-    def __post_init__(self):
-        if len(self.entries) != self.nrows or any(len(r) != self.ncols for r in self.entries):
-            raise InputError("matrix shape does not match entries")
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or self.ncols != other.nrows:
-            raise InputError("incompatible matrix product")
-        if self.ncols == 0:
-            return Matrix.zeros(self.field, self.nrows, other.ncols)
-        prod = mat_mul_rows(self.entries, other.entries, self.field.char)
-        return Matrix(self.field, self.nrows, other.ncols, prod)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise InputError("incompatible matrix difference")
-        f = self.field.coerce
-        rows = tuple(
-            tuple(f(a - b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)
-        )
-        return Matrix(self.field, self.nrows, self.ncols, rows)
-
-    def rank(self) -> int:
-        return rank_rows(self.entries, self.field.char)
-
-    def kernel_basis(self) -> tuple[tuple, ...]:
-        """Basis of the right null space, as column vectors in RREF order."""
-        return null_space_rows(self.entries, self.ncols, self.field.char)
-
-    def apply(self, vec) -> tuple:
-        """Matrix-vector product (vec has length ncols)."""
-        return apply_rows(self.entries, tuple(vec), self.field.char)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
-
-
-def block_diag(field: FieldSpec, mats: list[Matrix]) -> Matrix:
-    nrows = sum(m.nrows for m in mats)
-    ncols = sum(m.ncols for m in mats)
-    z = field.coerce(0)
-    rows = [[z] * ncols for _ in range(nrows)]
-    r0 = c0 = 0
-    for m in mats:
-        for r in range(m.nrows):
-            for c in range(m.ncols):
-                rows[r0 + r][c0 + c] = m.entries[r][c]
-        r0 += m.nrows
-        c0 += m.ncols
-    return Matrix(field, nrows, ncols, tuple(tuple(r) for r in rows))

@@ -324,12 +324,6 @@ def load_quiver(path) -> Quiver:
     return parse_quiver(read_input(path, "quiver"))
 
 
-def format_quiver(quiver: Quiver) -> str:
-    lines = ["vertices: " + " ".join(quiver.vertices)]
-    lines += [f"arrow: {s} -> {t}" for s, t in quiver.arrows]
-    return "\n".join(lines) + "\n"
-
-
 def parse_dim_vector(text: str, quiver: Quiver) -> DimVector:
     """Comma-separated integers in the quiver's declared vertex order."""
     try:

@@ -1,11 +1,11 @@
 """Concrete quiver representations over an exact field.
 
 Representations are immutable: a dimension vector plus one matrix per arrow
-(shape target x source).  Input representations are described as multisets of
-positive roots; the matching indecomposables are built deterministically over
-QQ by sink/source reflections starting from simple representations, and the
-one over F_p is that one reduced mod p, so the same root yields the same
-matrices over every field by construction.
+(shape target x source), a tuple of row tuples.  Input representations are
+described as multisets of positive roots; the matching indecomposables are
+built deterministically over QQ by sink/source reflections starting from
+simple representations, and the one over F_p is that one reduced mod p, so
+the same root yields the same matrices over every field by construction.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from .errors import InputError, InternalConsistencyError, UnsupportedQuiverError
 from .linalg import (
     QQ,
     FieldSpec,
-    Matrix,
     PrimeField,
-    block_diag,
+    apply_rows,
     mat_mul_rows,
-    null_space_rows,
     quotient_map_rows,
     rank_rows,
     rowspace_contains,
@@ -42,52 +40,43 @@ Subspaces = tuple  # per-vertex tuple of RREF row bases
 
 @dataclass(frozen=True)
 class Representation:
+    """A dimension vector and, per arrow s -> t, a dims[t] x dims[s] matrix
+    as a tuple of row tuples with entries in the field's canonical form."""
+
     quiver: Quiver
     field: FieldSpec
     dims: DimVector
-    arrow_maps: tuple[Matrix, ...]
+    maps: tuple
 
     def __post_init__(self):
         dims = self.quiver.check_dim_vector(self.dims)
         object.__setattr__(self, "dims", dims)
-        if len(self.arrow_maps) != len(self.quiver.arrows):
+        if len(self.maps) != len(self.quiver.arrows):
             raise InputError("one matrix per arrow required")
-        for (s, t), m in zip(self.quiver.arrow_indices, self.arrow_maps):
-            if m.field != self.field:
-                raise InputError("arrow matrix over the wrong field")
-            if (m.nrows, m.ncols) != (dims[t], dims[s]):
+        for (s, t), m in zip(self.quiver.arrow_indices, self.maps):
+            if len(m) != dims[t] or any(len(row) != dims[s] for row in m):
                 raise InputError(
-                    f"arrow matrix shape {(m.nrows, m.ncols)} does not match "
+                    f"arrow matrix with row widths {tuple(map(len, m))} does not match "
                     f"dimensions {(dims[t], dims[s])}"
                 )
 
 
-def from_raw_maps(quiver: Quiver, field: FieldSpec, dims, maps) -> Representation:
-    """A validated representation from raw arrow matrices (target x source)."""
-    mats = tuple(
-        Matrix(field, dims[t], dims[s], m) for (s, t), m in zip(quiver.arrow_indices, maps)
-    )
-    return Representation(quiver, field, dims, mats)
-
-
-def raw_maps(rep: Representation) -> tuple:
-    """The arrow matrices' raw row tuples."""
-    return tuple(m.entries for m in rep.arrow_maps)
-
-
-def zero_representation(quiver: Quiver, field: FieldSpec) -> Representation:
-    dims = tuple(0 for _ in quiver.vertices)
-    maps = tuple(Matrix.zeros(field, 0, 0) for _ in quiver.arrows)
-    return Representation(quiver, field, dims, maps)
-
-
-def simple_representation(quiver: Quiver, vertex: int | str, field: FieldSpec) -> Representation:
-    idx = quiver.index[vertex] if isinstance(vertex, str) else vertex
-    dims = tuple(1 if i == idx else 0 for i in range(quiver.n))
-    maps = tuple(
-        Matrix.zeros(field, dims[t], dims[s]) for s, t in quiver.arrow_indices
-    )
-    return Representation(quiver, field, dims, maps)
+def _sum_maps(quiver: Quiver, field: FieldSpec, parts) -> tuple:
+    """Each arrow's block-diagonal matrix of the summands `parts`, in order.
+    A block's width is its summand's source dimension: a block with no rows
+    has none to read it from."""
+    zero = (field.coerce(0),)
+    maps = []
+    for a, (s, _) in enumerate(quiver.arrow_indices):
+        ncols = sum(rep.dims[s] for rep in parts)
+        rows = []
+        left = 0
+        for rep in parts:
+            right = ncols - left - rep.dims[s]
+            rows.extend(zero * left + row + zero * right for row in rep.maps[a])
+            left += rep.dims[s]
+        maps.append(tuple(rows))
+    return tuple(maps)
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
@@ -95,10 +84,7 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.quiver != b.quiver or a.field != b.field:
         raise InputError("direct sum needs matching quiver and field")
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    maps = tuple(
-        block_diag(a.field, [ma, mb]) for ma, mb in zip(a.arrow_maps, b.arrow_maps)
-    )
-    return Representation(a.quiver, a.field, dims, maps)
+    return Representation(a.quiver, a.field, dims, _sum_maps(a.quiver, a.field, (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +183,14 @@ def _hom_system(w_rep: Representation, v_rep: Representation):
         total += vd[i] * wd[i]
     zero = v_rep.field.coerce(0)
     rows = []
-    for (i, j), wm, vm in zip(q.arrow_indices, w_rep.arrow_maps, v_rep.arrow_maps):
+    for (i, j), wm, vm in zip(q.arrow_indices, w_rep.maps, v_rep.maps):
         for a in range(vd[j]):
             for c in range(wd[i]):
                 row = [zero] * total
                 for b in range(wd[j]):
-                    row[offsets[j] + a * wd[j] + b] = wm.entries[b][c]
+                    row[offsets[j] + a * wd[j] + b] = wm[b][c]
                 for b in range(vd[i]):
-                    coeff = vm.entries[a][b]
-                    row[offsets[i] + b * wd[i] + c] -= coeff
+                    row[offsets[i] + b * wd[i] + c] -= vm[a][b]
                 if v_rep.field.char:
                     row = [x % v_rep.field.char for x in row]
                 rows.append(tuple(row))
@@ -218,25 +203,6 @@ def hom_dim(w_rep: Representation, v_rep: Representation) -> int:
         raise InputError("Hom needs matching quiver and field")
     rows, total, _ = _hom_system(w_rep, v_rep)
     return total - rank_rows(rows, v_rep.field.char)
-
-
-def hom_space(w_rep: Representation, v_rep: Representation) -> tuple[tuple[Matrix, ...], ...]:
-    """Basis of Hom(W, V); each element is one matrix per vertex."""
-    if w_rep.quiver != v_rep.quiver or w_rep.field != v_rep.field:
-        raise InputError("Hom needs matching quiver and field")
-    rows, total, offsets = _hom_system(w_rep, v_rep)
-    basis = null_space_rows(rows, total, v_rep.field.char)
-    q = w_rep.quiver
-    out = []
-    for vec in basis:
-        mats = []
-        for i in range(q.n):
-            vi, wi = v_rep.dims[i], w_rep.dims[i]
-            block = vec[offsets[i] : offsets[i] + vi * wi]
-            entries = tuple(tuple(block[a * wi + b] for b in range(wi)) for a in range(vi))
-            mats.append(Matrix(v_rep.field, vi, wi, entries))
-        out.append(tuple(mats))
-    return tuple(out)
 
 
 def ext1_dim(w_rep: Representation, v_rep: Representation) -> int:
@@ -329,23 +295,23 @@ def _reflection_walk(quiver: Quiver, root: DimVector) -> Representation:
             arrows[a] = (j, i)
             off += dims[j]
         dims[i] = total - dims[i]
-    return from_raw_maps(quiver, QQ, tuple(dims), tuple(maps))
+    return Representation(quiver, QQ, tuple(dims), tuple(maps))
 
 
 def _reduce_mod_p(rep: Representation, field: PrimeField) -> Representation:
     """The entrywise reduction a/b -> a * b^-1 of a rational representation."""
     p = field.p
     maps = []
-    for m in rep.arrow_maps:
+    for m in rep.maps:
         rows = []
-        for row in m.entries:
+        for row in m:
             if any(x.denominator % p == 0 for x in row):
                 raise InternalConsistencyError(
                     f"an indecomposable over QQ has an entry with denominator divisible by {p}"
                 )
             rows.append(tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row))
         maps.append(tuple(rows))
-    return from_raw_maps(rep.quiver, field, rep.dims, maps)
+    return Representation(rep.quiver, field, rep.dims, tuple(maps))
 
 
 @lru_cache(maxsize=None)
@@ -376,10 +342,7 @@ def build_rep(multiset: RootMultiset, field: FieldSpec) -> Representation:
     """Block-diagonal sum of the indecomposables named by the multiset."""
     quiver = multiset.quiver
     parts = [indecomposable_for_root(quiver, root, field) for root in multiset.expand()]
-    maps = tuple(
-        block_diag(field, [rep.arrow_maps[a] for rep in parts]) for a in range(len(quiver.arrows))
-    )
-    return Representation(quiver, field, multiset.total, maps)
+    return Representation(quiver, field, multiset.total, _sum_maps(quiver, field, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +370,9 @@ def canonical_subspaces(rep: Representation, subspaces: Subspaces) -> Subspaces:
 
 def _is_stable(rep: Representation, canon: Subspaces) -> bool:
     p = rep.field.char
-    for (s, t), m in zip(rep.quiver.arrow_indices, rep.arrow_maps):
+    for (s, t), m in zip(rep.quiver.arrow_indices, rep.maps):
         for row in canon[s]:
-            if not rowspace_contains(canon[t], m.apply(row), p):
+            if not rowspace_contains(canon[t], apply_rows(m, row, p), p):
                 return False
     return True
 
@@ -423,7 +386,7 @@ def subrep_subspaces(rep: Representation, subspaces: Subspaces) -> Subspaces:
 
 
 def sub_maps(arrow_indices, maps, subspaces, p):
-    """Dimensions and raw arrow matrices of the subrepresentation on arrow-stable
+    """Dimensions and arrow matrices of the subrepresentation on arrow-stable
     RREF subspaces, in their bases: an image's coordinates are its entries at the
     target basis's pivot columns.  No validation."""
     pivots = [tuple(next(c for c, x in enumerate(row) if x) for row in b) for b in subspaces]
@@ -437,12 +400,12 @@ def sub_maps(arrow_indices, maps, subspaces, p):
 def subrepresentation(rep: Representation, subspaces: Subspaces) -> Representation:
     """The subrepresentation carried by arrow-stable subspaces, in their bases."""
     subspaces = subrep_subspaces(rep, subspaces)
-    dims, maps = sub_maps(rep.quiver.arrow_indices, raw_maps(rep), subspaces, rep.field.char)
-    return from_raw_maps(rep.quiver, rep.field, dims, maps)
+    sub = sub_maps(rep.quiver.arrow_indices, rep.maps, subspaces, rep.field.char)
+    return Representation(rep.quiver, rep.field, *sub)
 
 
 def quotient_maps(arrow_indices, dims, maps, subspaces, p):
-    """Dimensions and raw arrow matrices of the quotient by arrow-stable RREF
+    """Dimensions and arrow matrices of the quotient by arrow-stable RREF
     subspaces, in complement coordinates.  No validation: the hot path of the
     counting oracle."""
     qmats = []
@@ -461,7 +424,5 @@ def quotient_maps(arrow_indices, dims, maps, subspaces, p):
 def quotient_representation(rep: Representation, subspaces: Subspaces) -> Representation:
     """The quotient by an arrow-stable tuple of subspaces, in complement coordinates."""
     subspaces = subrep_subspaces(rep, subspaces)
-    dims, maps = quotient_maps(
-        rep.quiver.arrow_indices, rep.dims, raw_maps(rep), subspaces, rep.field.char
-    )
-    return from_raw_maps(rep.quiver, rep.field, dims, maps)
+    quot = quotient_maps(rep.quiver.arrow_indices, rep.dims, rep.maps, subspaces, rep.field.char)
+    return Representation(rep.quiver, rep.field, *quot)

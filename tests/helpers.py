@@ -1,8 +1,11 @@
-"""Shared constructors and exhaustive generators for the test suite."""
+"""Shared constructors, exhaustive generators and row-tuple references for
+the test suite.  A matrix is a tuple of row tuples, as in `flagmann.linalg`."""
 
 from itertools import product
 
-from flagmann import FlagType, Quiver, RootMultiset, positive_roots
+from flagmann import FlagType, Quiver, Representation, RootMultiset, positive_roots
+from flagmann.linalg import mat_mul_rows, null_space_rows
+from flagmann.reps import _hom_system
 
 
 def quiver_a(n: int, directions=None) -> Quiver:
@@ -84,3 +87,58 @@ def random_instance(rng, base: Quiver):
         for _ in range(d - 1):
             steps.insert(0, tuple(rng.randint(0, x) for x in steps[0]))
     return ms, FlagType(tuple(steps))
+
+
+def format_quiver(quiver: Quiver) -> str:
+    """The quiver in the text format `parse_quiver` reads."""
+    lines = ["vertices: " + " ".join(quiver.vertices)]
+    lines += [f"arrow: {s} -> {t}" for s, t in quiver.arrows]
+    return "\n".join(lines) + "\n"
+
+
+def zeros(field, nrows: int, ncols: int):
+    return tuple((field.coerce(0),) * ncols for _ in range(nrows))
+
+
+def mat_mul(field, a, b, ncols: int):
+    """a * b; `ncols` is the width of b, which a b with no rows cannot show."""
+    return mat_mul_rows(a, b, field.char) if b else zeros(field, len(a), ncols)
+
+
+def mat_sub(field, a, b):
+    return tuple(tuple(field.coerce(x - y) for x, y in zip(r, s)) for r, s in zip(a, b))
+
+
+def zero_representation(quiver: Quiver, field) -> Representation:
+    return Representation(quiver, field, (0,) * quiver.n, ((),) * len(quiver.arrows))
+
+
+def simple_representation(quiver: Quiver, vertex: str, field) -> Representation:
+    dims = tuple(int(v == vertex) for v in quiver.vertices)
+    maps = tuple(zeros(field, dims[t], dims[s]) for s, t in quiver.arrow_indices)
+    return Representation(quiver, field, dims, maps)
+
+
+def hom_space(w_rep: Representation, v_rep: Representation):
+    """Basis of Hom(W, V); each element is one v_i x w_i matrix per vertex i."""
+    rows, total, offsets = _hom_system(w_rep, v_rep)
+    return tuple(
+        tuple(
+            tuple(vec[off + a * wi : off + (a + 1) * wi] for a in range(vi))
+            for off, vi, wi in zip(offsets, v_rep.dims, w_rep.dims)
+        )
+        for vec in null_space_rows(rows, total, v_rep.field.char)
+    )
+
+
+def layer(r0, r: int) -> Representation:
+    """Layer r (0-based) of a layered representation, over the base quiver."""
+    ext = r0.extended
+    dims = tuple(r0.rep.dims[ext.vertex_position(i, r)] for i in range(ext.n))
+    maps = tuple(r0.rep.maps[ext.horizontal_position(r, a)] for a in range(len(ext.base.arrows)))
+    return Representation(ext.base, r0.rep.field, dims, maps)
+
+
+def vertical_map(r0, r: int, i: int):
+    """The vertical arrow from vertex i of layer r to layer r + 1."""
+    return r0.rep.maps[r0.extended.vertical_position(r, i)]

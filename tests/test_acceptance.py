@@ -33,10 +33,10 @@ from flagmann import (
     verify_fiber_rank,
 )
 from flagmann.cli import main
-from flagmann.quiver import format_quiver
 
 from helpers import (
     all_orientations,
+    format_quiver,
     multisets_upto,
     quiver_a,
     quiver_d,

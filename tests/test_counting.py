@@ -28,7 +28,7 @@ from flagmann import (
 from flagmann import counting
 from flagmann.counting import candidate_estimate
 from flagmann.errors import BudgetExceededError, InputError, InternalConsistencyError
-from flagmann.reps import quotient_maps, raw_maps
+from flagmann.reps import quotient_maps
 
 from helpers import multisets_upto, quiver_a, quiver_d, quiver_e, random_instance
 
@@ -171,7 +171,7 @@ class TestCountFlags:
             if candidate_estimate(rep, FlagType((k, rep.dims))) > 2000:
                 continue
             tables += 1
-            maps = raw_maps(rep)
+            maps = rep.maps
             table = counting._Counter(rep.quiver, field.p).quotients(rep.dims, maps, k)
             subs = list(enumerate_subreps(rep, k))
             assert sum(table.values()) == len(subs)
@@ -215,7 +215,7 @@ class TestCountFlags:
         rep = build_rep(RootMultiset(quiver_d(4), (((1, 1, 1, 1), 1), ((0, 1, 0, 0), 2))), F2)
         u = FlagType(((0, 1, 0, 0), (1, 2, 1, 1), rep.dims))
         diffs = counting.flag_differences(u)
-        maps = raw_maps(rep)
+        maps = rep.maps
         calls = []
 
         def failing(*args):
@@ -363,24 +363,25 @@ class TestSampling:
     def test_deterministic_for_fixed_seed(self):
         rep = one_vertex_rep(3, F3)
         u = FlagType(((1,), (3,)))
-        a = sample_flags(rep, u, 5, random.Random(0))
-        b = sample_flags(rep, u, 5, random.Random(0))
+        size = count_flags(rep, u)
+        a = sample_flags(rep, u, 5, random.Random(0), size)
+        b = sample_flags(rep, u, 5, random.Random(0), size)
         assert a == b
 
     def test_negative_count_rejected(self):
         rep = one_vertex_rep(2, F2)
         u = FlagType(((1,), (2,)))
-        assert sample_flags(rep, u, 0, random.Random(0)) == []
+        assert sample_flags(rep, u, 0, random.Random(0), 3) == []
         with pytest.raises(InputError, match="sample count"):
-            sample_flags(rep, u, -3, random.Random(0))
-        # the count is checked before the budget gate
+            sample_flags(rep, u, -3, random.Random(0), 3)
+        # the count is checked before the pool size is read
         with pytest.raises(InputError, match="sample count"):
-            sample_flags(rep, u, -1, random.Random(0), budget=0)
+            sample_flags(rep, u, -1, random.Random(0), 0)
 
     def test_empty_pool(self):
         p = indecomposable_for_root(A2, (1, 1), F2)
         u = FlagType(((1, 0), (1, 1)))
-        assert sample_flags(p, u, 3, random.Random(0)) == []
+        assert sample_flags(p, u, 3, random.Random(0), count_flags(p, u)) == []
 
     @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
     @pytest.mark.parametrize("base", [quiver_a(3), quiver_d(4)], ids=["A3", "D4"])
@@ -398,14 +399,13 @@ class TestSampling:
                 [pool[listed.randrange(len(pool))] for _ in range(trial % 8)] if pool else []
             )
             counted = random.Random(seed)
-            assert sample_flags(rep, u, trial % 8, counted) == expected
+            assert sample_flags(rep, u, trial % 8, counted, count_flags(rep, u)) == expected
             assert counted.getstate() == listed.getstate()
             sizes.add(min(len(pool), 2))
         assert sizes == {0, 1, 2}
 
-    def test_overcount_is_inconsistent(self, monkeypatch):
+    def test_overcount_is_inconsistent(self):
         rep = one_vertex_rep(2, F2)
         u = FlagType(((1,), (2,)))
-        monkeypatch.setattr(counting, "count_flags", lambda rep, u, budget=None: 30)
         with pytest.raises(InternalConsistencyError, match="counted 30 flags"):
-            sample_flags(rep, u, 7, random.Random(0))
+            sample_flags(rep, u, 7, random.Random(0), 30)

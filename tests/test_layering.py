@@ -1,11 +1,15 @@
 """Layering: every module of the package imports at module level only, so
 the import graph is the one the module headers show, and exact rational
-arithmetic has one owner, `linalg`; no nested function calls itself; and
-every name the benchmark's tracer wraps or reads still exists."""
+arithmetic has one owner, `linalg`; no nested function calls itself;
+every name the benchmark's tracer wraps or reads still exists; and the
+package's public names are the pinned ones."""
 
 import ast
 import importlib.util
+import types
 from pathlib import Path
+
+import flagmann
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagmann"
 
@@ -82,3 +86,30 @@ def test_tracer_names_resolve():
     for module, name in tracer.CACHES:
         found = tracer.resolve(module, name)
         assert found and hasattr(found[2], "cache_info"), f"{module}.{name} has no cache_info"
+
+
+PUBLIC_NAMES = [
+    "BudgetExceededError", "DynkinClass", "ExtendedQuiver", "FiberReport", "FlagPoint",
+    "FlagType", "FlagmannError", "InputError", "InternalConsistencyError", "PoincareEngine",
+    "PoincarePolynomial", "PrimeField", "QQ", "Quiver", "Rationals", "Rep0Representation",
+    "Representation", "RootMultiset", "StratumSplit", "UnsupportedQuiverError",
+    "VerificationError", "build_rep", "classify_dynkin", "count_flags", "count_strata",
+    "direct_sum", "directed_order", "engine_for", "enumerate_flags", "enumerate_splittings",
+    "enumerate_subreps", "euler_form", "ext1_dim", "extend_quiver", "flag_differences",
+    "flag_to_subrep", "flag_types", "gaussian_binomial", "hom_dim", "hom_dim_rep0",
+    "indecomposable_for_root", "load_quiver", "parse_flag_type", "parse_quiver",
+    "parse_rep_spec", "phi", "poincare", "positive_roots", "quotient_by_flag",
+    "quotient_representation", "rigid_dimension", "sample_flags", "stratum_counts",
+    "stratum_rank", "subrepresentation", "verify_fiber_rank",
+]
+
+
+def test_public_names_are_pinned():
+    # an API change shows in this list's diff; submodules are left out, as
+    # which of them are attributes depends on what the process imported
+    names = sorted(
+        name
+        for name in dir(flagmann)
+        if not name.startswith("_") and not isinstance(getattr(flagmann, name), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

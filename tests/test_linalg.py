@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from flagmann import Matrix, PrimeField, QQ, enumerate_subspaces, gaussian_binomial
+from flagmann import PrimeField, QQ, gaussian_binomial
 from flagmann.errors import InputError
 from flagmann.linalg import (
+    _rref_bases,
+    apply_rows,
+    identity_rows,
     image_rowspace,
     intersect_rowspaces,
     mat_mul_rows,
@@ -22,6 +25,8 @@ from flagmann.linalg import (
     subspaces_between,
     sum_rowspaces,
 )
+
+from helpers import zeros
 
 
 class TestFields:
@@ -40,14 +45,13 @@ class TestFields:
 
 class TestMatrix:
     def test_rank_identity(self):
-        assert Matrix.identity(QQ, 2).rank() == 2
+        assert rank_rows(identity_rows(QQ, 2), 0) == 2
 
     def test_rank_zero_matrix(self):
-        assert Matrix.zeros(QQ, 3, 4).rank() == 0
+        assert rank_rows(zeros(QQ, 3, 4), 0) == 0
 
     def test_rank_proportional_rows(self):
-        m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
-        assert m.rank() == 1
+        assert rank_rows(((1, 2), (2, 4)), 0) == 1
 
     def test_rank_over_qq_matches_rref(self):
         # the fraction-free rank over QQ against the RREF, on seeded random
@@ -82,14 +86,13 @@ class TestMatrix:
             assert rank_rows(rows, 0) == len(rref_rows(rows, 0)[0]), rows
 
     def test_kernel_identity_empty(self):
-        assert Matrix.identity(QQ, 3).kernel_basis() == ()
+        assert null_space_rows(identity_rows(QQ, 3), 3, 0) == ()
 
     def test_kernel_zero_matrix(self):
-        assert len(Matrix.zeros(QQ, 2, 3).kernel_basis()) == 3
+        assert len(null_space_rows(zeros(QQ, 2, 3), 3, 0)) == 3
 
     def test_kernel_f2_line(self):
-        m = Matrix.from_rows(PrimeField(2), [[1, 1]])
-        assert m.kernel_basis() == ((1, 1),)
+        assert null_space_rows(((1, 1),), 2, 2) == ((1, 1),)
 
     def test_rank_nullity(self):
         cases = [
@@ -99,61 +102,45 @@ class TestMatrix:
             (PrimeField(5), [[1, 2, 3, 4]]),
         ]
         for field, rows in cases:
-            m = Matrix.from_rows(field, rows)
-            assert m.rank() + len(m.kernel_basis()) == m.ncols
+            m, p = tuple(map(tuple, rows)), field.char
+            assert rank_rows(m, p) + len(null_space_rows(m, len(m[0]), p)) == len(m[0])
 
     def test_kernel_vectors_annihilate(self):
-        m = Matrix.from_rows(PrimeField(3), [[1, 2, 0], [0, 1, 1]])
-        for vec in m.kernel_basis():
-            assert all(x == 0 for x in m.apply(vec))
-
-    def test_mul_shapes_with_zero_dims(self):
-        a = Matrix.zeros(QQ, 2, 0)
-        b = Matrix.zeros(QQ, 0, 3)
-        c = a * b
-        assert (c.nrows, c.ncols) == (2, 3)
-        assert c.is_zero()
+        m = ((1, 2, 0), (0, 1, 1))
+        for vec in null_space_rows(m, 3, 3):
+            assert all(x == 0 for x in apply_rows(m, vec, 3))
 
     def test_mul_values(self):
-        a = Matrix.from_rows(PrimeField(5), [[1, 2], [3, 4]])
-        b = Matrix.from_rows(PrimeField(5), [[0, 1], [1, 0]])
-        assert (a * b).entries == ((2, 1), (4, 3))
+        assert mat_mul_rows(((1, 2), (3, 4)), ((0, 1), (1, 0)), 5) == ((2, 1), (4, 3))
 
 
 class TestSubspaceEnumeration:
     def test_lines_in_f2_squared(self):
-        assert len(list(enumerate_subspaces(2, 1, 2))) == 3
+        assert len(_rref_bases(2, 1, 2)) == 3
 
     def test_lines_in_f3_cubed(self):
         # (3^3 - 1) / (3 - 1) = 13
-        assert len(list(enumerate_subspaces(3, 1, 3))) == 13
+        assert len(_rref_bases(3, 1, 3)) == 13
 
     def test_whole_space_unique(self):
-        assert len(list(enumerate_subspaces(2, 2, 5))) == 1
+        assert len(_rref_bases(2, 2, 5)) == 1
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_counts_match_gaussian_binomial(self, p):
         for n in range(5):
             for k in range(n + 1):
-                got = list(enumerate_subspaces(n, k, p))
+                got = _rref_bases(n, k, p)
                 assert len(got) == gaussian_binomial(n, k, p)
                 assert len(set(got)) == len(got)
 
     def test_enumeration_is_deterministic(self):
-        first = list(enumerate_subspaces(4, 2, 3))
-        second = list(enumerate_subspaces(4, 2, 3))
-        assert first == second
+        # a second, uncached run gives the same bases in the same order
+        assert _rref_bases.__wrapped__(4, 2, 3) == _rref_bases(4, 2, 3)
 
     def test_bases_are_rref(self):
-        for basis in enumerate_subspaces(4, 2, 2):
+        for basis in _rref_bases(4, 2, 2):
             red, _ = rref_rows(basis, 2)
             assert red == basis
-
-    def test_bad_input(self):
-        with pytest.raises(InputError):
-            list(enumerate_subspaces(2, 3, 2))
-        with pytest.raises(InputError):
-            list(enumerate_subspaces(2, 1, 4))
 
 
 class TestRowspaceToolkit:
@@ -176,9 +163,9 @@ class TestRowspaceToolkit:
         for _ in range(60):
             n = rng.randint(1, 5)
             ku = rng.randint(1, n)
-            upper = rng.choice(list(enumerate_subspaces(n, ku, p)))
+            upper = rng.choice(_rref_bases(n, ku, p))
             kl = rng.choice([0, 0, rng.randint(0, ku)])
-            t = rng.choice(list(enumerate_subspaces(ku, kl, p)))
+            t = rng.choice(_rref_bases(ku, kl, p))
             lower = rref_rows(mat_mul_rows(t, upper, p), p)[0]
             for k in range(kl, ku + 1):
                 got = list(subspaces_between(lower, upper, k, p))

@@ -19,9 +19,9 @@ from flagmann import (
     positive_roots,
 )
 from flagmann.errors import InputError, UnsupportedQuiverError
-from flagmann.quiver import format_quiver, parse_dim_vector
+from flagmann.quiver import parse_dim_vector
 
-from helpers import all_orientations, quiver_a, quiver_d, quiver_e
+from helpers import all_orientations, format_quiver, quiver_a, quiver_d, quiver_e
 
 A2 = quiver_a(2)
 
