@@ -6,7 +6,6 @@ from .counting import (
     count_flags,
     count_strata,
     enumerate_flags,
-    enumerate_subreps,
     sample_flags,
     stratum_counts,
 )

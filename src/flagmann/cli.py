@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
@@ -151,8 +152,11 @@ def cmd_check_odd(args) -> int:
             job_roots.append(root)
             job_flags.append(flag)
     jobs = (repeat(quiver), job_roots, job_flags, repeat(args.budget))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # workers beyond the CPU count add processes, not speed; under the fork
+    # start method every one of them is forked at the first submit
+    workers = min(args.jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_campaign_instance, *jobs, chunksize=16))
     else:
         rows = list(map(_campaign_instance, *jobs))

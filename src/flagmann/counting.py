@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
 from .linalg import (
     PrimeField,
     gaussian_binomial,
+    identity_rows,
     image_rowspace,
     intersect_rowspaces,
     preimage_rowspace,
@@ -36,16 +36,11 @@ from .linalg import (
     sum_rowspaces,
 )
 from .quiver import FlagType, Quiver, flag_differences
-from .reps import Representation, canonical_subspaces, quotient_maps, subrep_subspaces
+from .reps import Representation, quotient_maps, subrep_subspaces
 
 DEFAULT_BUDGET = 10**8
 # entries the count memo and the quotient tables hold together before both are cleared
 _MEMO_BOUND = 1_000_000
-
-
-@lru_cache(maxsize=None)
-def _full_basis(n: int) -> tuple:
-    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,6 @@ class _Counter:
         dims: tuple[int, ...],
         maps: tuple,
         target: tuple[int, ...],
-        within: tuple | None = None,
         containing: tuple | None = None,
     ) -> Iterator[tuple]:
         """Fix every vertex but the last one of the walk order; yield
@@ -134,15 +128,15 @@ class _Counter:
 
         The arrow-stable completions of `chosen` are exactly the
         `target[i]`-dimensional S with low <= S <= up at vertex `i`.
-        `within` / `containing` are per-vertex RREF bases bounding the result
-        from above and below.  Constraints from arrows propagate as image
-        lower bounds and preimage upper bounds while the search walks the
-        vertices, so infeasible branches die early.  `chosen` is the walk's
-        own list, with `chosen[i]` None; it is only valid until the next yield.
-        The quiver needs at least one vertex.
+        `containing` holds per-vertex RREF bases bounding the result from
+        below; the bound from above starts at the whole space.  Constraints
+        from arrows propagate as image lower bounds and preimage upper bounds
+        while the search walks the vertices, so infeasible branches die early.
+        `chosen` is the walk's own list, with `chosen[i]` None; it is only
+        valid until the next yield.  The quiver needs at least one vertex.
         """
         p = self.p
-        uppers = list(within) if within is not None else [_full_basis(d) for d in dims]
+        uppers = [identity_rows(d, p) for d in dims]
         lowers = list(containing) if containing is not None else [()] * self.n
         for i in range(self.n):
             if not (len(lowers[i]) <= target[i] <= len(uppers[i])):
@@ -197,7 +191,6 @@ class _Counter:
         dims: tuple[int, ...],
         maps: tuple,
         target: tuple[int, ...],
-        within: tuple | None = None,
         containing: tuple | None = None,
     ) -> Iterator[tuple]:
         """Arrow-stable subspace tuples of exact dimensions `target`, each
@@ -205,7 +198,7 @@ class _Counter:
         if not self.n:
             yield ()
             return
-        for chosen, i, low, up in self.intervals(dims, maps, target, within, containing):
+        for chosen, i, low, up in self.intervals(dims, maps, target, containing):
             for sub in subspaces_between(low, up, target[i], self.p):
                 chosen[i] = sub
                 yield tuple(chosen)
@@ -293,26 +286,6 @@ def _check_budget(rep: Representation, flag_type: FlagType, budget: int | None) 
         )
 
 
-def enumerate_subreps(
-    rep: Representation,
-    target,
-    within: tuple | None = None,
-    containing: tuple | None = None,
-) -> Iterator[tuple]:
-    """Yield each arrow-stable subspace tuple of the given dimensions once.
-
-    Results are canonical RREF bases in the ambient coordinates of `rep`,
-    between `containing` and `within` when those subrepresentations are given.
-    """
-    ctr = _counter(rep)
-    target = rep.quiver.check_dim_vector(target)
-    if within is not None:
-        within = canonical_subspaces(rep, within)
-    if containing is not None:
-        containing = canonical_subspaces(rep, containing)
-    yield from ctr.subreps(rep.dims, rep.maps, target, within, containing)
-
-
 def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPoint]:
     """All flags of the given type in `rep`, as concrete subspace chains."""
     _check_weight(rep, flag_type)
@@ -332,7 +305,7 @@ def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPo
         if r == len(steps):
             yield FlagPoint(tuple(acc))
         else:
-            pending.append(ctr.subreps(rep.dims, rep.maps, steps[r], None, sub))
+            pending.append(ctr.subreps(rep.dims, rep.maps, steps[r], sub))
 
 
 def count_flags(rep: Representation, flag_type: FlagType, budget: int | None = None) -> int:

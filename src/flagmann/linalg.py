@@ -361,7 +361,8 @@ def subspaces_between(lower: Rows, upper: Rows, k: int, p: int) -> Iterator[Rows
         yield rref_rows(ambient, p)[0]
 
 
-def identity_rows(field: FieldSpec, n: int) -> Rows:
-    """The n x n identity as row tuples, entries in the field's canonical form."""
-    z, o = field.coerce(0), field.coerce(1)
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+@lru_cache(maxsize=None)
+def identity_rows(n: int, p: int) -> Rows:
+    """The n x n identity as row tuples (`Fraction` entries when p == 0)."""
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))

@@ -3,7 +3,7 @@ the test suite.  A matrix is a tuple of row tuples, as in `flagmann.linalg`."""
 
 from itertools import product
 
-from flagmann import FlagType, Quiver, Representation, RootMultiset, positive_roots
+from flagmann import FlagType, Quiver, Representation, RootMultiset, enumerate_flags, positive_roots
 from flagmann.linalg import mat_mul_rows, null_space_rows
 from flagmann.reps import _hom_system
 
@@ -87,6 +87,13 @@ def random_instance(rng, base: Quiver):
         for _ in range(d - 1):
             steps.insert(0, tuple(rng.randint(0, x) for x in steps[0]))
     return ms, FlagType(tuple(steps))
+
+
+def subreps(rep: Representation, target):
+    """The arrow-stable subspace tuples of dimensions `target`, as the first
+    steps of the two-step flags of type (target, dim rep), in their order."""
+    for point in enumerate_flags(rep, FlagType((target, rep.dims))):
+        yield point.steps[0]
 
 
 def format_quiver(quiver: Quiver) -> str:

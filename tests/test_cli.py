@@ -343,6 +343,38 @@ class TestCheckOdd:
         _, parallel, _ = run_cli(args + ["--jobs", "2"], capsys)
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(100_000, 3, 3), (2, 8, 2), (100_000, None, None), (4, 1, None), (1, 8, None)],
+    )
+    def test_jobs_capped_at_cpu_count(self, a2, monkeypatch, capsys, jobs, cpus, workers):
+        # an in-process stand-in for the pool records how many workers were
+        # asked for, so no process starts; None means the serial path ran
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        cli = importlib.import_module("flagmann.cli")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        args = ["check-odd", "--quiver", str(a2), "--max-dim", "2", "--d-max", "2", "--json"]
+        _, serial, _ = run_cli(args, capsys)
+        assert asked == []
+        code, out, _ = run_cli(args + ["--jobs", str(jobs)], capsys)
+        assert code == 0 and out == serial
+        assert asked == ([] if workers is None else [workers])
+
 
 def worked_bundle_args(a2, tmp_path, w_flag="1,0;1,0"):
     """verify-bundle on the README example: V = P(1,1), W = S1 over A2."""

@@ -18,7 +18,6 @@ from flagmann import (
     count_strata,
     direct_sum,
     enumerate_flags,
-    enumerate_subreps,
     flag_types,
     indecomposable_for_root,
     positive_roots,
@@ -30,7 +29,7 @@ from flagmann.counting import candidate_estimate
 from flagmann.errors import BudgetExceededError, InputError, InternalConsistencyError
 from flagmann.reps import quotient_maps
 
-from helpers import multisets_upto, quiver_a, quiver_d, quiver_e, random_instance
+from helpers import multisets_upto, quiver_a, quiver_d, quiver_e, random_instance, subreps
 
 A2 = quiver_a(2)
 F2 = PrimeField(2)
@@ -51,43 +50,29 @@ def embedded_first_block(v_rep, u_rep):
 
 
 class TestEnumerateSubreps:
+    # subrepresentations of dimension k are the first steps of the two-step
+    # flags of type (k, dim V), which `enumerate_flags` walks
     def test_projective_line_targets(self):
         p = indecomposable_for_root(A2, (1, 1), F2)
         # vertex 2 of P is a line, and nothing at vertex 1 never obstructs it
-        assert len(list(enumerate_subreps(p, (0, 1)))) == 1
+        assert len(list(subreps(p, (0, 1)))) == 1
         # full vertex 1 forces the image line at vertex 2
-        assert len(list(enumerate_subreps(p, (1, 1)))) == 1
-        assert len(list(enumerate_subreps(p, (0, 0)))) == 1
+        assert len(list(subreps(p, (1, 1)))) == 1
+        assert len(list(subreps(p, (0, 0)))) == 1
         # (1, 0) is not arrow-stable in the projective
-        assert len(list(enumerate_subreps(p, (1, 0)))) == 0
+        assert len(list(subreps(p, (1, 0)))) == 0
 
     def test_line_targets_with_big_socle(self):
         # dims (1, 2): with nothing at vertex 1, every line at vertex 2 is
         # stable, 3 of them over F_2; a full vertex 1 pins the image line
         w = build_rep(RootMultiset(A2, (((1, 1), 1), ((0, 1), 1))), F2)
-        assert len(list(enumerate_subreps(w, (0, 1)))) == 3
-        assert len(list(enumerate_subreps(w, (1, 1)))) == 1
-
-    def test_within_and_containing(self):
-        w = build_rep(RootMultiset(A2, (((1, 1), 2),)), F2)
-        all_lines = list(enumerate_subreps(w, (1, 1)))
-        inside = list(enumerate_subreps(w, (1, 1), within=all_lines[0]))
-        assert inside == [all_lines[0]]
-        above = list(enumerate_subreps(w, (2, 2), containing=all_lines[0]))
-        assert len(above) == 1  # only the whole representation
-
-    def test_malformed_bounds_rejected(self):
-        p = indecomposable_for_root(A2, (1, 1), F2)
-        for bound in ((((1, 0),), ((1,),)), (((1,),),), (((1,), (1,)), ((1,),))):
-            with pytest.raises(InputError):
-                list(enumerate_subreps(p, (1, 1), within=bound))
-            with pytest.raises(InputError):
-                list(enumerate_subreps(p, (1, 1), containing=bound))
+        assert len(list(subreps(w, (0, 1)))) == 3
+        assert len(list(subreps(w, (1, 1)))) == 1
 
     def test_yields_are_unique_and_deterministic(self):
         w = build_rep(RootMultiset(A2, (((1, 1), 1), ((0, 1), 1))), F3)
-        first = list(enumerate_subreps(w, (1, 1)))
-        second = list(enumerate_subreps(w, (1, 1)))
+        first = list(subreps(w, (1, 1)))
+        second = list(subreps(w, (1, 1)))
         assert first == second
         assert len(set(first)) == len(first)
 
@@ -130,7 +115,7 @@ class TestCountFlags:
             counted = count_flags(rep, u)
             assert counted == sum(1 for _ in enumerate_flags(rep, u))
             if u.d == 2:
-                assert counted == len(list(enumerate_subreps(rep, u.steps[0])))
+                assert counted == len(list(subreps(rep, u.steps[0])))
                 two_step += 1
             # three or more steps sum over the first step's quotient table
             tabled += u.d >= 3
@@ -145,7 +130,7 @@ class TestCountFlags:
             reps = (Representation(empty, field, (), ()), build_rep(RootMultiset(A2, ()), field))
             for rep in reps:
                 zero = tuple(0 for _ in rep.dims)
-                assert list(enumerate_subreps(rep, zero)) == [tuple(() for _ in rep.dims)]
+                assert list(subreps(rep, zero)) == [tuple(() for _ in rep.dims)]
                 for d in (1, 2, 3):
                     u = FlagType((zero,) * d)
                     assert count_flags(rep, u) == 1
@@ -173,7 +158,7 @@ class TestCountFlags:
             tables += 1
             maps = rep.maps
             table = counting._Counter(rep.quiver, field.p).quotients(rep.dims, maps, k)
-            subs = list(enumerate_subreps(rep, k))
+            subs = list(subreps(rep, k))
             assert sum(table.values()) == len(subs)
             assert table == Counter(
                 quotient_maps(rep.quiver.arrow_indices, rep.dims, maps, sub, field.p)

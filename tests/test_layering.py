@@ -2,10 +2,12 @@
 the import graph is the one the module headers show, and exact rational
 arithmetic has one owner, `linalg`; no nested function calls itself;
 every name the benchmark's tracer wraps or reads still exists; and the
-package's public names are the pinned ones."""
+package's public names are the pinned ones, each with a caller outside the
+tests."""
 
 import ast
 import importlib.util
+import re
 import types
 from pathlib import Path
 
@@ -95,7 +97,7 @@ PUBLIC_NAMES = [
     "Representation", "RootMultiset", "StratumSplit", "UnsupportedQuiverError",
     "VerificationError", "build_rep", "classify_dynkin", "count_flags", "count_strata",
     "direct_sum", "directed_order", "engine_for", "enumerate_flags", "enumerate_splittings",
-    "enumerate_subreps", "euler_form", "ext1_dim", "extend_quiver", "flag_differences",
+    "euler_form", "ext1_dim", "extend_quiver", "flag_differences",
     "flag_to_subrep", "flag_types", "gaussian_binomial", "hom_dim", "hom_dim_rep0",
     "indecomposable_for_root", "load_quiver", "parse_flag_type", "parse_quiver",
     "parse_rep_spec", "phi", "poincare", "positive_roots", "quotient_by_flag",
@@ -113,3 +115,37 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(flagmann, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def names_loaded(path: Path) -> set[str]:
+    """Names a module reads, as a bare name or an attribute, leaving out
+    the reads inside a function or class of that same name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    stack = [(tree, ())]
+    while stack:
+        node, enclosing = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing += (node.name,)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in enclosing:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
+        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only the tests use is API nothing needs; a use in
+    # another module of the package or in the benchmark's scripts counts
+    used = set().union(*(names_loaded(p) for p in SRC.glob("*.py") if p.name != "__init__.py"))
+    bench = "\n".join(
+        p.read_text(encoding="utf-8") for p in (SRC.parents[1] / "perfbench").glob("*.py")
+    )
+    unused = [
+        name
+        for name in PUBLIC_NAMES
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", bench)
+    ]
+    assert not unused, f"public names with no caller outside the tests: {unused}"

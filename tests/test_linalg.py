@@ -45,7 +45,20 @@ class TestFields:
 
 class TestMatrix:
     def test_rank_identity(self):
-        assert rank_rows(identity_rows(QQ, 2), 0) == 2
+        assert rank_rows(identity_rows(2, 0), 0) == 2
+
+    def test_identity_entries_follow_the_characteristic(self):
+        over_q = identity_rows(3, 0)
+        assert over_q == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert all(type(x) is Fraction for row in over_q for x in row)
+        for p in (2, 5):
+            rows = identity_rows(3, p)
+            assert rows == over_q
+            assert all(type(x) is int for row in rows for x in row)
+        assert identity_rows(0, 3) == ()
+        # cached: a repeated call hands back the same tuple
+        assert identity_rows(4, 2) is identity_rows(4, 2)
+        assert identity_rows(4, 0) is identity_rows(4, 0)
 
     def test_rank_zero_matrix(self):
         assert rank_rows(zeros(QQ, 3, 4), 0) == 0
@@ -86,7 +99,7 @@ class TestMatrix:
             assert rank_rows(rows, 0) == len(rref_rows(rows, 0)[0]), rows
 
     def test_kernel_identity_empty(self):
-        assert null_space_rows(identity_rows(QQ, 3), 3, 0) == ()
+        assert null_space_rows(identity_rows(3, 0), 3, 0) == ()
 
     def test_kernel_zero_matrix(self):
         assert len(null_space_rows(zeros(QQ, 2, 3), 3, 0)) == 3
