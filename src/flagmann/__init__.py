@@ -2,7 +2,6 @@
 subrepresentations over Dynkin quivers, verified by finite-field counts."""
 
 from .counting import (
-    FlagPoint,
     count_flags,
     count_strata,
     enumerate_flags,
@@ -37,7 +36,6 @@ from .linalg import (
 from .poincare import (
     PoincareEngine,
     PoincarePolynomial,
-    StratumSplit,
     directed_order,
     engine_for,
     enumerate_splittings,

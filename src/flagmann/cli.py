@@ -23,7 +23,7 @@ from .errors import (
     VerificationError,
 )
 from .extended import verify_fiber_rank
-from .linalg import PrimeField
+from .linalg import PrimeField, identity_rows
 from .poincare import PoincarePolynomial, engine_for
 from .quiver import (
     FlagType,
@@ -212,13 +212,7 @@ def cmd_verify_bundle(args) -> int:
     u_flag = FlagType(
         tuple(tuple(a + b for a, b in zip(vs, ws)) for vs, ws in zip(v_flag.steps, w_flag.steps))
     )
-    embedded = tuple(
-        tuple(
-            tuple(1 if j == k else 0 for j in range(u_rep.dims[i]))
-            for k in range(v_rep.dims[i])
-        )
-        for i in range(quiver.n)
-    )
+    embedded = tuple(identity_rows(n, field.p)[:k] for n, k in zip(u_rep.dims, v_rep.dims))
     stratum = count_strata(u_rep, embedded, u_flag, v_flag, w_flag, budget=args.budget)
     # only an empty stratum can have a negative rank
     expected = (

@@ -3,7 +3,8 @@ over a prime field, straight from the definitions.
 
 A flag of type (u_1, ..., u_d) in V is a chain of arrow-stable subspace
 tuples of the prescribed dimensions.  Enumeration walks the chain bottom-up
-and visits every point.  The counting path additionally replaces "subspaces
+and yields every point as a tuple of steps, each a tuple of one canonical
+RREF basis per vertex.  The counting path additionally replaces "subspaces
 containing the previous step" by subrepresentations of the quotient, which
 keeps every search space as small as possible and makes memoization
 effective.  Its last step is counted in closed form: once every vertex but
@@ -19,7 +20,6 @@ Everything here works over PrimeField representations only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
@@ -41,20 +41,6 @@ from .reps import Representation, quotient_maps, subrep_subspaces
 DEFAULT_BUDGET = 10**8
 # entries the count memo and the quotient tables hold together before both are cleared
 _MEMO_BOUND = 1_000_000
-
-
-@dataclass(frozen=True)
-class FlagPoint:
-    """A concrete flag: one canonical subspace basis per step and vertex."""
-
-    steps: tuple[tuple[tuple, ...], ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.steps)
-
-    def dims(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(len(b) for b in step) for step in self.steps)
 
 
 def candidate_estimate(rep: Representation, flag_type: FlagType) -> int:
@@ -164,7 +150,7 @@ class _Counter:
                 for a, t in self.out_arrows[i]:
                     if chosen[t] is not None:
                         pre = preimage_rowspace(maps[a], chosen[t], dims[i], p)
-                        up = _intersect_rref(up, pre, dims[i], p)
+                        up = intersect_rowspaces(up, pre, dims[i], p)
                 # low <= up is trivially true when low is 0 or up is everything
                 if len(up) >= target[i] and (
                     not low or len(up) == dims[i] or rowspace_leq(low, up, p)
@@ -246,14 +232,6 @@ class _Counter:
         return table
 
 
-def _intersect_rref(a, b, n, p):
-    if len(a) == n:
-        return b
-    if len(b) == n:
-        return a
-    return intersect_rowspaces(a, b, n, p)
-
-
 _counters: dict = {}
 
 
@@ -286,8 +264,9 @@ def _check_budget(rep: Representation, flag_type: FlagType, budget: int | None) 
         )
 
 
-def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPoint]:
-    """All flags of the given type in `rep`, as concrete subspace chains."""
+def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[tuple]:
+    """All flags of the given type in `rep`, as concrete subspace chains:
+    one tuple per step, of one canonical RREF basis per vertex."""
     _check_weight(rep, flag_type)
     ctr = _counter(rep)
     steps = flag_type.steps
@@ -303,7 +282,7 @@ def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[FlagPo
         del acc[r - 1 :]
         acc.append(sub)
         if r == len(steps):
-            yield FlagPoint(tuple(acc))
+            yield tuple(acc)
         else:
             pending.append(ctr.subreps(rep.dims, rep.maps, steps[r], sub))
 
@@ -315,10 +294,10 @@ def count_flags(rep: Representation, flag_type: FlagType, budget: int | None = N
     return ctr.count(rep.dims, rep.maps, flag_differences(flag_type))
 
 
-def intersection_dims(point: FlagPoint, subspaces: tuple, p: int) -> tuple:
+def intersection_dims(point: tuple, subspaces: tuple, p: int) -> tuple:
     """Per-step, per-vertex dimension of the intersection with fixed subspaces."""
     out = []
-    for step in point.steps:
+    for step in point:
         row = []
         for basis, fixed in zip(step, subspaces):
             if not basis or not fixed:
@@ -375,7 +354,7 @@ def sample_flags(
     count: int,
     rng: random.Random,
     size: int,
-) -> list[FlagPoint]:
+) -> list[tuple]:
     """Uniform sample (with replacement) from the full flag enumeration.
 
     `size` is the pool's size as `count_flags` gave it, so the budget has

@@ -6,10 +6,11 @@ a flag in V becomes an honest subrepresentation of the layer-constant
 embedding of V, and where the fiber of a stratum over a pair of flags is a
 Hom space computable by exact linear algebra.  That computation is what this
 module provides, together with a sampling verifier for the bundle-rank
-formula.  A flag conversion validates the flag once (`flag_subspaces`) and
-builds its sub and quotient from the embedding's row tuples.  The embedding
-itself is not checked, as each of its squares reads V_h * 1 = 1 * V_h; only
-the result is, as a representation whose layer squares must commute.
+formula.  A flag is the step tuple `enumerate_flags` yields; a conversion
+validates it once (`flag_subspaces`) and builds its sub and quotient from
+the embedding's row tuples.  The embedding itself is not checked, as each of
+its squares reads V_h * 1 = 1 * V_h; only the result is, as a representation
+whose layer squares must commute.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .counting import FlagPoint, count_flags, sample_flags
+from .counting import count_flags, sample_flags
 from .errors import InputError
-from .linalg import PrimeField, identity_rows, mat_mul_rows, rowspace_contains
+from .linalg import PrimeField, identity_rows, mat_mul_rows, rowspace_leq
 from .quiver import FlagType, Quiver
 from .reps import (
     Representation,
@@ -123,36 +124,35 @@ def phi(v_rep: Representation, depth: int) -> Rep0Representation:
     return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
 
 
-def flag_subspaces(v_rep: Representation, point: FlagPoint) -> tuple:
+def flag_subspaces(v_rep: Representation, point: tuple) -> tuple:
     """The flag read as a subspace tuple over the extended quiver.
 
     Validates each step's bases and arrow stability, then the inclusions; the
     result indexes subspaces layer-major like the extended quiver's vertices.
     """
-    if not point.steps:
+    if not point:
         raise InputError("depth must be >= 1, got 0")
     p = v_rep.field.char
-    canon = [subrep_subspaces(v_rep, step) for step in point.steps]
+    canon = [subrep_subspaces(v_rep, step) for step in point]
     for prev, cur in zip(canon, canon[1:]):
-        for i in range(v_rep.quiver.n):
-            if not all(rowspace_contains(cur[i], vec, p) for vec in prev[i]):
-                raise InputError("flag steps are not nested")
+        if not all(rowspace_leq(a, b, p) for a, b in zip(prev, cur)):
+            raise InputError("flag steps are not nested")
     if tuple(len(b) for b in canon[-1]) != v_rep.dims:
         raise InputError("top flag step is not the whole representation")
     return tuple(basis for step in canon for basis in step)
 
 
-def flag_to_subrep(v_rep: Representation, point: FlagPoint) -> Rep0Representation:
+def flag_to_subrep(v_rep: Representation, point: tuple) -> Rep0Representation:
     """The flag as a subrepresentation of the layer-constant embedding."""
-    ext, _, maps = _embedding(v_rep, point.d)
+    ext, _, maps = _embedding(v_rep, len(point))
     subs = flag_subspaces(v_rep, point)
     dims, maps = sub_maps(ext.quiver.arrow_indices, maps, subs, v_rep.field.char)
     return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
 
 
-def quotient_by_flag(v_rep: Representation, point: FlagPoint) -> Rep0Representation:
+def quotient_by_flag(v_rep: Representation, point: tuple) -> Rep0Representation:
     """The quotient of the layer-constant embedding by the flag subrepresentation."""
-    ext, dims, maps = _embedding(v_rep, point.d)
+    ext, dims, maps = _embedding(v_rep, len(point))
     subs = flag_subspaces(v_rep, point)
     dims, maps = quotient_maps(ext.quiver.arrow_indices, dims, maps, subs, v_rep.field.char)
     return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
@@ -217,9 +217,9 @@ def verify_fiber_rank(
         dim = hom_dim_rep0(w_sub, v_quot)
         fiber_dims.append(dim)
         if dim != expected:
+            v_dims, w_dims = (tuple(tuple(map(len, s)) for s in pt) for pt in (v_point, w_point))
             deviations.append(
-                f"fiber dimension {dim} != rank {expected} at flags "
-                f"{v_point.dims()} / {w_point.dims()}"
+                f"fiber dimension {dim} != rank {expected} at flags {v_dims} / {w_dims}"
             )
     return FiberReport(
         prime=v_rep.field.p,

@@ -160,20 +160,12 @@ def rank_rows(rows: Rows, p: int) -> int:
 
 
 def null_space_rows(rows: Rows, ncols: int, p: int) -> Rows:
-    """RREF row basis of {x : A x = 0} for the matrix A with the given rows."""
-    red, pivots = rref_rows(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    zero = 0 if p else Fraction(0)
-    one = 1 if p else Fraction(1)
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, c in enumerate(pivots):
-            val = red[r][f]
-            vec[c] = (-val) % p if p else -val
-        basis.append(tuple(vec))
-    return rref_rows(tuple(basis), p)[0]
+    """RREF row basis of {x : A x = 0} for the matrix A with the given rows.
+
+    With A in RREF, the kernel is spanned by the rows of its quotient map: a
+    unit at each free column, minus that column's entries at the pivots.
+    """
+    return rref_rows(quotient_map_rows(rref_rows(rows, p)[0], ncols, p)[0], p)[0]
 
 
 def mat_mul_rows(a: Rows, b: Rows, p: int) -> Rows:
@@ -237,6 +229,10 @@ def sum_rowspaces(a: Rows, b: Rows, p: int) -> Rows:
 
 def intersect_rowspaces(a: Rows, b: Rows, n: int, p: int) -> Rows:
     """Zassenhaus intersection of two row spaces inside F^n."""
+    if len(a) == n:
+        return b
+    if len(b) == n:
+        return a
     zero = tuple([0] * n) if p else tuple([Fraction(0)] * n)
     block = [row + row for row in a] + [row + zero for row in b]
     red, _ = rref_rows(tuple(block), p)

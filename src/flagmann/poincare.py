@@ -11,7 +11,8 @@ palindromic polynomial 1 + c_1 q + ... + c_1 q^(D-1) + q^D of the expected
 dimension D; its middle coefficients are fitted to finite-field counts and
 checked at one held-out prime.  An empty one, read off F_2, is checked at F_3.
 
-The recursion runs on raw step tuples and coefficient tuples.  Its input is
+The recursion runs on raw step tuples and coefficient tuples, and a
+splitting is a (sub steps, quotient steps, rank) triple.  Its input is
 validated once, as a `FlagType`; a `FlagType` is built again only for a base
 case computed for the first time, and the answer is wrapped into one
 `PoincarePolynomial`.
@@ -24,7 +25,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, product
-from typing import NamedTuple
 
 from .counting import count_flags
 from .errors import (
@@ -93,10 +93,7 @@ class PoincarePolynomial:
                 rem = c - rem
             if rem != 0:
                 return m, PoincarePolynomial(tuple(cur))
-            quot = list(reversed(quot[:-1] if len(quot) > 1 else []))
-            if not quot:
-                return m, PoincarePolynomial(tuple(cur))
-            cur = quot
+            cur = quot[-2::-1]
             m += 1
 
     def format_coefficients(self) -> str:
@@ -117,15 +114,6 @@ class PoincarePolynomial:
                 head = "" if c == 1 else f"{c}*"
                 parts.append(f"{head}q" if i == 1 else f"{head}q^{i}")
         return " + ".join(parts)
-
-
-class StratumSplit(NamedTuple):
-    """A splitting of an ambient flag type across a sub/quotient pair: the
-    sub-side and quotient-side steps and the stratum's bundle rank."""
-
-    sub: tuple[DimVector, ...]
-    quot: tuple[DimVector, ...]
-    rank: int
 
 
 def _telescoped_rank(
@@ -165,8 +153,9 @@ def rigid_dimension(quiver: Quiver, flag_type: FlagType) -> int:
 @lru_cache(maxsize=200_000)
 def enumerate_splittings(
     quiver: Quiver, steps: tuple[DimVector, ...], sub_total: DimVector, quot_total: DimVector
-) -> tuple[StratumSplit, ...]:
-    """All step pairs (v, w) with v + w = steps, v ending at sub_total.
+) -> tuple[tuple, ...]:
+    """All splittings (v, w, rank) with v + w = steps, v ending at sub_total:
+    the sub-side steps, the quotient-side steps and the stratum's bundle rank.
 
     `steps` are the steps of a `FlagType`, so they are not checked again; the
     totals are.  Both sides must be monotone; per step the admissible vectors
@@ -203,7 +192,7 @@ def enumerate_splittings(
                     term -= w_step[s] * v_bar[t]
                 extended.append(((choice,) + v_acc, (w_step,) + w_acc, rank + term))
         partial = extended
-    return tuple(StratumSplit(*split) for split in partial)
+    return tuple(partial)
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +292,7 @@ class PoincareEngine:
                     f"{multiset.items}, flag {u.steps}"
                 )
             return PoincarePolynomial.zero()
-        dim = max(_telescoped_rank(self.quiver, u.steps, u.steps), 0)
+        dim = max(rigid_dimension(self.quiver, u), 0)
         half = dim // 2
         primes = list(islice(filter(is_prime, count(2)), max(half, 1) + 1))
         counts += map(counted, primes[1:])

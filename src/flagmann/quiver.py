@@ -172,8 +172,6 @@ def _arm_from(adj, start: int, first: int) -> list[int]:
         nxt = [j for j in range(len(adj)) if adj[cur][j] and j != prev]
         if not nxt:
             return arm
-        if len(nxt) > 1:
-            return arm  # hit another branch vertex; caller rejects
         prev, cur = cur, nxt[0]
         arm.append(cur)
 
@@ -215,9 +213,8 @@ def classify_dynkin(quiver: Quiver) -> DynkinClass:
     if len(branches) > 1:
         return not_dynkin
     b = branches[0]
+    # a tree with one branch vertex: every arm is a path ending at a leaf
     arms = [_arm_from(adj, b, j) for j in range(n) if adj[b][j]]
-    if any(degrees[arm[-1]] != 1 for arm in arms):
-        return not_dynkin  # an arm ran into another branch vertex
     arms.sort(key=lambda arm: (len(arm), arm[0]))
     lens = [len(a) for a in arms]
     if lens[0] == 1 and lens[1] == 1:

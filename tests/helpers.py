@@ -4,7 +4,14 @@ the test suite.  A matrix is a tuple of row tuples, as in `flagmann.linalg`."""
 from itertools import product
 
 from flagmann import FlagType, Quiver, Representation, RootMultiset, enumerate_flags, positive_roots
-from flagmann.linalg import mat_mul_rows, null_space_rows
+from flagmann.linalg import (
+    _rref_bases,
+    apply_rows,
+    mat_mul_rows,
+    null_space_rows,
+    rowspace_contains,
+    rowspace_leq,
+)
 from flagmann.reps import _hom_system
 
 
@@ -93,7 +100,34 @@ def subreps(rep: Representation, target):
     """The arrow-stable subspace tuples of dimensions `target`, as the first
     steps of the two-step flags of type (target, dim rep), in their order."""
     for point in enumerate_flags(rep, FlagType((target, rep.dims))):
-        yield point.steps[0]
+        yield point[0]
+
+
+def brute_force_flags(rep: Representation, flag_type: FlagType) -> list:
+    """Every flag of `flag_type` in `rep`, by brute force: each step is a
+    product of per-vertex RREF bases kept when every arrow maps it into
+    itself, and consecutive steps are chained by containment."""
+    p = rep.field.char
+    layers = []
+    for step in flag_type.steps:
+        layers.append([
+            subs
+            for subs in product(*(_rref_bases(n, k, p) for n, k in zip(rep.dims, step)))
+            if all(
+                rowspace_contains(subs[t], apply_rows(m, vec, p), p)
+                for (s, t), m in zip(rep.quiver.arrow_indices, rep.maps)
+                for vec in subs[s]
+            )
+        ])
+    return [
+        chain
+        for chain in product(*layers)
+        if all(
+            rowspace_leq(low, high, p)
+            for a, b in zip(chain, chain[1:])
+            for low, high in zip(a, b)
+        )
+    ]
 
 
 def format_quiver(quiver: Quiver) -> str:

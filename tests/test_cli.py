@@ -603,3 +603,69 @@ class TestVerifyBundle:
         assert code == 4
         assert out == ""
         assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+class TestExitPaths:
+    """The failure branches of `main` and the commands' failure output."""
+
+    def test_poincare_verify_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
+        quiver = tmp_path / "one.qv"
+        quiver.write_text("vertices: x\n")
+        rep = tmp_path / "c3.rep"
+        rep.write_text("summand: 1 x 3\n")
+        args = ["poincare", "--quiver", str(quiver), "--rep", str(rep), "--flag", "1;2;3"]
+        # a fresh engine fills its memo first, so only --verify counts again
+        monkeypatch.setattr(importlib.import_module("flagmann.poincare"), "_engines", {})
+        assert run_cli(args, capsys)[0] == 0
+        monkeypatch.setattr(PoincareEngine, "count", lambda self, ms, u, q: -1)
+        code, out, err = run_cli(args + ["--verify"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("verification failure: count over F_2 is -1,")
+        assert err.count("\n") == 1
+
+    def test_bundle_deviation_lines(self, a2, tmp_path, monkeypatch, capsys):
+        extended = importlib.import_module("flagmann.extended")
+        monkeypatch.setattr(extended, "hom_dim_rep0", lambda w0, v0: 7)
+        code, out, err = run_cli(worked_bundle_args(a2, tmp_path) + ["--samples", "2"], capsys)
+        assert code == 3
+        deviation = (
+            "deviation: fiber dimension 7 != rank 1 at flags ((0, 1), (1, 1)) / ((1, 0), (1, 0))\n"
+        )
+        assert out == (
+            "rank: 1\n"
+            "flags: 1 x 1 over F_2\n"
+            "fiber dims: 7 7\n"
+            "stratum count: 2, bundle formula: 2\n" + deviation * 2
+        )
+        assert err == "verification failure: bundle verification failed\n"
+
+    def test_check_odd_budget_rows(self, d4, capsys):
+        args = ["check-odd", "--quiver", str(d4), "--max-dim", "5", "--d-max", "2", "--budget", "2"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        budget = [line for line in lines if line.startswith("budget ")]
+        assert budget and len(budget) < len(lines) - 1
+        for line in budget:
+            assert line.endswith("exceeds budget 2)")
+            assert "  (base case out of desk range for summands " in line
+        assert lines[-1].endswith(f"0 failures, {len(budget)} over budget")
+        code, out, _ = run_cli(args + ["--json"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        rows = [row for row in data["instances"] if row["status"] == "budget"]
+        assert data["status"] == "ok" and data["over_budget"] == len(rows) == len(budget)
+        for row in rows:
+            assert row["coefficients"] is None
+            assert row["detail"].startswith("base case out of desk range for summands ")
+
+    def test_internal_error_exits_1(self, a2, monkeypatch, capsys):
+        def planted(quiver):
+            raise flagmann.InternalConsistencyError("planted")
+
+        monkeypatch.setattr(importlib.import_module("flagmann.cli"), "classify_dynkin", planted)
+        code, out, err = run_cli(["roots", "--quiver", str(a2)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "internal error: planted\n"

@@ -29,7 +29,15 @@ from flagmann.counting import candidate_estimate
 from flagmann.errors import BudgetExceededError, InputError, InternalConsistencyError
 from flagmann.reps import quotient_maps
 
-from helpers import multisets_upto, quiver_a, quiver_d, quiver_e, random_instance, subreps
+from helpers import (
+    brute_force_flags,
+    multisets_upto,
+    quiver_a,
+    quiver_d,
+    quiver_e,
+    random_instance,
+    subreps,
+)
 
 A2 = quiver_a(2)
 F2 = PrimeField(2)
@@ -237,7 +245,7 @@ class TestCountFlags:
                 rep = build_rep(RootMultiset(quiver, items), field)
                 for u in flag_types(rep.dims, 3):
                     for point in enumerate_flags(rep, u):
-                        digest.update(repr(point.steps).encode())
+                        digest.update(repr(point).encode())
                         points += 1
         assert points == 2897
         assert digest.hexdigest() == (
@@ -250,12 +258,50 @@ class TestCountFlags:
         from flagmann.extended import flag_subspaces
 
         for point in enumerate_flags(rep, u):
-            assert point.dims() == u.steps
+            assert tuple(tuple(map(len, step)) for step in point) == u.steps
             flag_subspaces(rep, point)  # validates nesting and stability
 
     def test_weight_mismatch(self):
         with pytest.raises(InputError):
             count_flags(one_vertex_rep(2, F2), FlagType(((1,), (3,))))
+
+
+NON_TREE_QUIVERS = {
+    "kronecker": Quiver(("a", "b"), (("a", "b"), ("a", "b"))),
+    "square": Quiver(("a", "b", "c", "d"), (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))),
+    "isolated": Quiver(("a", "b", "c"), (("a", "b"),)),
+}
+
+
+class TestNonTreeQuivers:
+    """Parallel arrows, a cycle in the underlying graph and an isolated
+    vertex: the oracle's walk meets a vertex with two fixed neighbours and a
+    frontier that does not touch the chosen vertices, which no Dynkin quiver
+    gives it."""
+
+    @pytest.mark.parametrize("name", sorted(NON_TREE_QUIVERS))
+    def test_oracle_matches_brute_force(self, name):
+        quiver = NON_TREE_QUIVERS[name]
+        rng = random.Random(5)
+        types = 0
+        for field in (F2, F3):
+            for _ in range(6):
+                dims = tuple(rng.randint(1, 2) for _ in quiver.vertices)
+                maps = tuple(
+                    tuple(
+                        tuple(rng.randrange(field.p) for _ in range(dims[s]))
+                        for _ in range(dims[t])
+                    )
+                    for s, t in quiver.arrow_indices
+                )
+                rep = Representation(quiver, field, dims, maps)
+                for u in flag_types(dims, 3):
+                    want = brute_force_flags(rep, u)
+                    got = list(enumerate_flags(rep, u))
+                    assert len(got) == len(set(got)) and set(got) == set(want), u.steps
+                    assert count_flags(rep, u) == len(want), u.steps
+                    types += 1
+        assert types > 0
 
 
 class TestStrata:

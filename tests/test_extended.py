@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from flagmann import (
-    FlagPoint,
     FlagType,
     PrimeField,
     QQ,
@@ -164,13 +163,13 @@ class TestFlagToSubrep:
         ]
         for steps, message in cases:
             with pytest.raises(InputError, match=message):
-                flag_subspaces(p, FlagPoint(steps))
+                flag_subspaces(p, steps)
 
     def test_empty_flag_rejected(self):
         p = indecomposable_for_root(A2, (1, 1), F2)
         for convert in (flag_subspaces, flag_to_subrep, quotient_by_flag):
             with pytest.raises(InputError, match="depth must be >= 1, got 0"):
-                convert(p, FlagPoint(()))
+                convert(p, ())
 
     def test_pinned_matrices(self):
         # sha256 of (dims, arrow-matrix entries) of the flag subrepresentation
@@ -220,7 +219,7 @@ class TestConversionsMatchReference:
 
     @staticmethod
     def check(rep, point):
-        ambient = phi(rep, point.d).rep
+        ambient = phi(rep, len(point)).rep
         subs = flag_subspaces(rep, point)
         sub = flag_to_subrep(rep, point).rep
         assert sub == subrepresentation(ambient, subs)
@@ -261,7 +260,7 @@ class TestConversionsMatchReference:
             (((), ()), full),
         ]
         for steps in points:
-            self.check(rep, FlagPoint(steps))
+            self.check(rep, steps)
 
 
 class TestHomRep0:

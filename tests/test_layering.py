@@ -91,10 +91,10 @@ def test_tracer_names_resolve():
 
 
 PUBLIC_NAMES = [
-    "BudgetExceededError", "DynkinClass", "ExtendedQuiver", "FiberReport", "FlagPoint",
+    "BudgetExceededError", "DynkinClass", "ExtendedQuiver", "FiberReport",
     "FlagType", "FlagmannError", "InputError", "InternalConsistencyError", "PoincareEngine",
     "PoincarePolynomial", "PrimeField", "QQ", "Quiver", "Rationals", "Rep0Representation",
-    "Representation", "RootMultiset", "StratumSplit", "UnsupportedQuiverError",
+    "Representation", "RootMultiset", "UnsupportedQuiverError",
     "VerificationError", "build_rep", "classify_dynkin", "count_flags", "count_strata",
     "direct_sum", "directed_order", "engine_for", "enumerate_flags", "enumerate_splittings",
     "euler_form", "ext1_dim", "extend_quiver", "flag_differences",

@@ -8,14 +8,19 @@ counts and recursion polynomials both obey it.
 
 Palindromy: a nonempty flag variety of a rigid representation is smooth and
 projective of dimension `rigid_dimension`, so its count polynomial is
-palindromic of that degree."""
+palindromic of that degree.
+
+Order independence: the recursion may peel the summands off in any order
+with Ext^1(earlier, later) = 0; each such order gives the same polynomial."""
 
 import random
 
 import pytest
 
-from flagmann import QQ, FlagType, PoincareEngine, PrimeField, Quiver, Representation, RootMultiset
-from flagmann import build_rep, count_flags, ext1_dim, rigid_dimension
+from flagmann import QQ, FlagType, PoincareEngine, PoincarePolynomial, PrimeField, Quiver
+from flagmann import Representation, RootMultiset, build_rep, count_flags, directed_order
+from flagmann import ext1_dim, indecomposable_for_root, rigid_dimension
+from flagmann.errors import BudgetExceededError
 
 from helpers import quiver_a, quiver_d, quiver_e, random_instance
 
@@ -101,3 +106,45 @@ def test_rigid_answers_are_palindromic_of_rigid_dimension():
             nonempty += 1
             several += len(ms.expand()) >= 2
     assert cases == 240 and nonempty >= 180 and several >= 50
+
+
+def last_first_order(ms: RootMultiset) -> tuple:
+    """A second directed order: place, again and again, the last remaining
+    root in canonical order that has no Ext^1 into another remaining root."""
+    indec = {root: indecomposable_for_root(ms.quiver, root, QQ) for root, _ in ms.items}
+    left = list(indec)
+    placed = []
+    while left:
+        pick = next(
+            a for a in reversed(left)
+            if not any(b != a and ext1_dim(indec[a], indec[b]) for b in left)
+        )
+        placed.append(pick)
+        left.remove(pick)
+    return tuple(placed)
+
+
+def test_directed_order_does_not_matter():
+    # a fresh engine on each side, so neither reads the other's memo; an
+    # instance over budget on either side is counted, as the budget outcome
+    # may depend on the order
+    rng = random.Random(1909)
+    cases = reordered = over_budget = 0
+    for base in (quiver_a(5), quiver_d(5), quiver_d(6), quiver_e(6), quiver_e(7), quiver_e(8)):
+        stop = cases + 70
+        while cases < stop:
+            ms, u = random_instance(rng, base)
+            if sum(ms.total) > 8:
+                continue
+            cases += 1
+            order = last_first_order(ms)
+            reordered += order != directed_order(ms)
+            seq = tuple(sorted(ms.expand(), key=order.index))
+            try:
+                lhs = PoincareEngine(ms.quiver)._poincare_seq(seq, u.steps)
+                rhs = PoincareEngine(ms.quiver).poincare(ms, u)
+            except BudgetExceededError:
+                over_budget += 1
+                continue
+            assert PoincarePolynomial(lhs) == rhs, (ms, u, order)
+    assert cases == 420 and reordered >= 120 and over_budget <= 5

@@ -19,6 +19,7 @@ from flagmann import (
     positive_roots,
 )
 from flagmann.errors import InputError, UnsupportedQuiverError
+from flagmann.cli import main
 from flagmann.quiver import parse_dim_vector
 
 from helpers import all_orientations, format_quiver, quiver_a, quiver_d, quiver_e
@@ -185,6 +186,49 @@ class TestClassification:
             cls = classify_dynkin(quiver)
             labels = sorted(cls.relabeling.values())
             assert labels == list(range(1, quiver.n + 1))
+
+
+def star(*arms):
+    """A centre `c` with paths of the given lengths hanging off it."""
+    vertices, arrows = ["c"], []
+    for a, length in enumerate(arms):
+        prev = "c"
+        for k in range(length):
+            vertices.append(f"{a}.{k}")
+            arrows.append((prev, f"{a}.{k}"))
+            prev = f"{a}.{k}"
+    return Quiver(tuple(vertices), tuple(arrows))
+
+
+NOT_DYNKIN = {
+    "empty": Quiver((), ()),
+    "triangle+isolated": Quiver(("1", "2", "3", "4"), (("1", "2"), ("2", "3"), ("3", "1"))),
+    "affine-D4": star(1, 1, 1, 1),
+    "affine-D5": Quiver(
+        tuple("abcdef"), (("a", "c"), ("b", "c"), ("c", "d"), ("d", "e"), ("d", "f"))
+    ),
+    "affine-E6": star(2, 2, 2),
+    "affine-E7": star(1, 3, 3),
+    "affine-E8": star(1, 2, 5),
+}
+
+
+class TestRejections:
+    """Each rejection of the classifier: an accepted affine quiver would send
+    `positive_roots` after an infinite root set."""
+
+    @pytest.mark.parametrize("name", list(NOT_DYNKIN))
+    def test_not_dynkin(self, name):
+        cls = classify_dynkin(NOT_DYNKIN[name])
+        assert not cls.is_dynkin and cls.label() == "not Dynkin"
+
+    def test_roots_of_affine_e8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "e8-affine.qv"
+        path.write_text(format_quiver(NOT_DYNKIN["affine-E8"]))
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--quiver", str(path)])
+        assert exc.value.code == 2
+        assert "not Dynkin" in capsys.readouterr().err
 
 
 class TestPositiveRoots:
