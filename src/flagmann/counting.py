@@ -59,7 +59,6 @@ class _Counter:
     """Per-(quiver, prime) enumeration engine: a shared count memo and quotient tables."""
 
     def __init__(self, quiver: Quiver, p: int):
-        self.quiver = quiver
         self.p = p
         self.n = quiver.n
         self.arrows = quiver.arrow_indices
@@ -124,9 +123,6 @@ class _Counter:
         p = self.p
         uppers = [identity_rows(d, p) for d in dims]
         lowers = list(containing) if containing is not None else [()] * self.n
-        for i in range(self.n):
-            if not (len(lowers[i]) <= target[i] <= len(uppers[i])):
-                return
         gap = [
             gaussian_binomial(len(uppers[i]) - len(lowers[i]), target[i] - len(lowers[i]), p)
             for i in range(self.n)

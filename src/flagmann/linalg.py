@@ -292,10 +292,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 @lru_cache(maxsize=None)
 def _rref_bases(n: int, k: int, p: int) -> tuple[Rows, ...]:
     """All RREF bases of k-dimensional subspaces of F_p^n, fixed order."""
-    if k == 0:
-        return ((),)
-    if k > n:
-        return ()
     out = []
     for pivots in combinations(range(n), k):
         free = []

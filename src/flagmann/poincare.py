@@ -11,11 +11,12 @@ palindromic polynomial 1 + c_1 q + ... + c_1 q^(D-1) + q^D of the expected
 dimension D; its middle coefficients are fitted to finite-field counts and
 checked at one held-out prime.  An empty one, read off F_2, is checked at F_3.
 
-The recursion runs on raw step tuples and coefficient tuples, and a
-splitting is a (sub steps, quotient steps, rank) triple.  Its input is
-validated once, as a `FlagType`; a `FlagType` is built again only for a base
-case computed for the first time, and the answer is wrapped into one
-`PoincarePolynomial`.
+The recursion runs on raw step tuples and coefficient tuples.  A set of
+splittings is named by the ambient steps and the quotient side's total, the
+peeled summand's root; each splitting is a (sub steps, quotient steps, rank)
+triple.  The input is validated once, as a `FlagType`; a `FlagType` is built
+again only for a base case computed for the first time, and the answer is
+wrapped into one `PoincarePolynomial`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import QQ, PrimeField, is_prime, rref_rows
-from .quiver import DimVector, FlagType, Quiver, classify_dynkin
+from .quiver import DimVector, FlagType, Quiver, _pairing, _peel, classify_dynkin
 from .reps import RootMultiset, build_rep, ext1_dim, indecomposable_for_root
 
 
@@ -126,10 +127,7 @@ def _telescoped_rank(
     arrows = quiver.arrow_indices
     total = 0
     for w_prev, v_prev, v_next in zip(w, v, v[1:]):
-        v_bar = tuple(map(operator.sub, v_next, v_prev))
-        total += sum(map(operator.mul, w_prev, v_bar))
-        for s, t in arrows:
-            total -= w_prev[s] * v_bar[t]
+        total += _pairing(arrows, w_prev, tuple(map(operator.sub, v_next, v_prev)))
     return total
 
 
@@ -152,27 +150,24 @@ def rigid_dimension(quiver: Quiver, flag_type: FlagType) -> int:
 
 @lru_cache(maxsize=200_000)
 def enumerate_splittings(
-    quiver: Quiver, steps: tuple[DimVector, ...], sub_total: DimVector, quot_total: DimVector
+    quiver: Quiver, steps: tuple[DimVector, ...], quot_total: DimVector
 ) -> tuple[tuple, ...]:
-    """All splittings (v, w, rank) with v + w = steps, v ending at sub_total:
-    the sub-side steps, the quotient-side steps and the stratum's bundle rank.
+    """All splittings (v, w, rank) with v + w = steps and w ending at
+    quot_total: the sub-side steps, the quotient-side steps and the stratum's
+    bundle rank.  The sub side ends at steps[-1] - quot_total.
 
     `steps` are the steps of a `FlagType`, so they are not checked again; the
-    totals are.  Both sides must be monotone; per step the admissible vectors
-    form a box, walked lexicographically from the top step down for a
+    quotient total is.  Both sides must be monotone; per step the admissible
+    vectors form a box, walked lexicographically from the top step down for a
     deterministic order.  The rank is the telescoped sum of `stratum_rank`,
     one Euler-form term <w_{r-1}, v_r - v_{r-1}> added per chosen step v_{r-1}.
     """
     n = quiver.n
-    if (
-        len(sub_total) != n
-        or len(quot_total) != n
-        or min(sub_total + quot_total, default=0) < 0
-        or tuple(map(operator.add, sub_total, quot_total)) != steps[-1]
-    ):
+    sub_total = tuple(map(operator.sub, steps[-1], quot_total))
+    if len(quot_total) != n or min(quot_total + sub_total, default=0) < 0:
         raise InputError(
-            f"sub and quotient totals must be nonnegative vectors of length {n} "
-            "adding up to the ambient weight"
+            f"the quotient total must be a nonnegative vector of length {n} "
+            "not above the ambient weight"
         )
     arrows = quiver.arrow_indices
     # partial splittings (v steps, w steps, rank), lowest chosen step first,
@@ -186,10 +181,7 @@ def enumerate_splittings(
             ranges = [range(max(0, a - t + b), min(b, a) + 1) for a, t, b in zip(above, top, below)]
             for choice in product(*ranges):
                 w_step = tuple(map(operator.sub, below, choice))
-                v_bar = tuple(map(operator.sub, above, choice))
-                term = sum(map(operator.mul, w_step, v_bar))
-                for s, t in arrows:
-                    term -= w_step[s] * v_bar[t]
+                term = _pairing(arrows, w_step, tuple(map(operator.sub, above, choice)))
                 extended.append(((choice,) + v_acc, (w_step,) + w_acc, rank + term))
         partial = extended
     return tuple(partial)
@@ -209,18 +201,11 @@ def directed_order(multiset: RootMultiset) -> tuple[DimVector, ...]:
     order that has no Ext^1 into another remaining root.
     """
     quiver = multiset.quiver
-    left = [root for root, _ in multiset.items]
-    placed = []
-    while left:
-        pick = next(
-            (a for a in left if not any(b != a and _ext1_roots(quiver, a, b) for b in left)),
-            None,
-        )
-        if pick is None:
-            raise UnsupportedQuiverError("extension relation among summands has a cycle")
-        placed.append(pick)
-        left.remove(pick)
-    return tuple(placed)
+    return _peel(
+        [root for root, _ in multiset.items],
+        lambda a, b: _ext1_roots(quiver, a, b),
+        "extension relation among summands has a cycle",
+    )
 
 
 class PoincareEngine:
@@ -375,9 +360,8 @@ class PoincareEngine:
         if len(seq) == 1:
             return self.base_case(seq[0], FlagType(steps)).coefficients
         head, rest = seq[:1], seq[1:]
-        rest_total = tuple(sum(r[i] for r in rest) for i in range(self.quiver.n))
         total: list[int] = []
-        for sub, quot, rank in enumerate_splittings(self.quiver, steps, rest_total, head[0]):
+        for sub, quot, rank in enumerate_splittings(self.quiver, steps, head[0]):
             p_sub = self._poincare_seq(rest, sub)
             if not p_sub:
                 continue

@@ -60,13 +60,32 @@ class Quiver:
         return v
 
 
+def _pairing(arrows, w: DimVector, v: DimVector) -> int:
+    """<w, v> over the arrows `(s, t)` on raw vectors of one length; no checks."""
+    total = sum(map(operator.mul, w, v))
+    for s, t in arrows:
+        total -= w[s] * v[t]
+    return total
+
+
 def euler_form(quiver: Quiver, w: DimVector, v: DimVector) -> int:
     """<w, v> = sum_i w_i v_i - sum_{h: i->j} w_i v_j; bilinear, integer-exact."""
-    w = quiver.check_dim_vector(w)
-    v = quiver.check_dim_vector(v)
-    total = sum(wi * vi for wi, vi in zip(w, v))
-    total -= sum(w[s] * v[t] for s, t in quiver.arrow_indices)
-    return total
+    return _pairing(quiver.arrow_indices, quiver.check_dim_vector(w), quiver.check_dim_vector(v))
+
+
+def _peel(items, blocked, cycle_message: str) -> tuple:
+    """Place, again and again, the first remaining item `a` that no other
+    remaining item `b` blocks (`blocked(a, b)`); UnsupportedQuiverError with
+    `cycle_message` once every remaining item is blocked."""
+    left = list(items)
+    placed = []
+    while left:
+        pick = next((a for a in left if not any(b != a and blocked(a, b) for b in left)), None)
+        if pick is None:
+            raise UnsupportedQuiverError(cycle_message)
+        placed.append(pick)
+        left.remove(pick)
+    return tuple(placed)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, InternalConsistencyError, UnsupportedQuiverError
+from .errors import InputError, InternalConsistencyError
 from .linalg import (
     QQ,
     FieldSpec,
@@ -28,6 +28,7 @@ from .linalg import (
 from .quiver import (
     DimVector,
     Quiver,
+    _peel,
     _reflect,
     _undirected_adjacency,
     euler_form,
@@ -141,19 +142,16 @@ def parse_rep_spec(text: str, quiver: Quiver) -> RootMultiset:
             continue
         if not line.startswith("summand:"):
             raise InputError(f"line {lineno}: expected a 'summand:' line")
-        body = line[len("summand:") :].strip()
-        mult = 1
-        if "x" in body:
-            vec_part, mult_part = body.rsplit("x", 1)
-            try:
-                mult = int(mult_part)
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: bad multiplicity {mult_part!r}") from exc
-            body = vec_part.strip()
+        root_part, *mult_part = line[len("summand:") :].rsplit("x", 1)
+        root_part = root_part.strip()
         try:
-            root = tuple(int(x) for x in body.split(","))
+            root = tuple(int(x) for x in root_part.split(","))
         except ValueError as exc:
-            raise InputError(f"line {lineno}: bad root {body!r}") from exc
+            raise InputError(f"line {lineno}: bad root {root_part!r}") from exc
+        try:
+            mult = int(mult_part[0]) if mult_part else 1
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: bad multiplicity {mult_part[0]!r}") from exc
         items.append((root, mult))
     return RootMultiset(quiver, tuple(items))
 
@@ -227,19 +225,8 @@ def admissible_vertex_order(quiver: Quiver) -> tuple[int, ...]:
     Equivalently: repeatedly peel a sink of the induced subquiver on the
     remaining vertices (smallest index first).  Fails on directed cycles.
     """
-    remaining = set(range(quiver.n))
-    order = []
-    while remaining:
-        sink = None
-        for i in sorted(remaining):
-            if not any(s == i and t in remaining for s, t in quiver.arrow_indices):
-                sink = i
-                break
-        if sink is None:
-            raise UnsupportedQuiverError("quiver has a directed cycle")
-        order.append(sink)
-        remaining.discard(sink)
-    return tuple(order)
+    arrows = quiver.arrow_indices
+    return _peel(range(quiver.n), lambda i, j: (i, j) in arrows, "quiver has a directed cycle")
 
 
 def _reflection_walk(quiver: Quiver, root: DimVector) -> Representation:

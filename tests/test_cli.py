@@ -669,3 +669,76 @@ class TestExitPaths:
         assert code == 1
         assert out == ""
         assert err == "internal error: planted\n"
+
+
+class TestInputErrors:
+    """Each bad input ends with exit 2, no stdout and one stderr line."""
+
+    @pytest.mark.parametrize(
+        "quiver_text, rep_text, argv, err",
+        [
+            ("vertices:\n", "", ["roots"], "error: line 1: empty vertex list"),
+            (
+                "vertices: a b\nedge: a b\n", "", ["roots"],
+                "error: line 2: unrecognized directive 'edge'",
+            ),
+            (
+                "vertices: a b\narrow: a b\n", "", ["roots"],
+                "error: line 2: arrow needs 'src -> dst'",
+            ),
+            (
+                "vertices: a b\narrow: a ->\n", "", ["roots"],
+                "error: line 2: arrow needs 'src -> dst'",
+            ),
+            (
+                A2_QUIVER, "summand: 1,1 x 0\n", ["poincare", "--flag", "0,1;1,1"],
+                "error: multiplicity must be >= 1, got 0",
+            ),
+            (
+                A2_QUIVER, "summand: 1,1 x q\n", ["poincare", "--flag", "0,1;1,1"],
+                "error: line 1: bad multiplicity ' q'",
+            ),
+            (
+                # the root is read before the multiplicity
+                A2_QUIVER, "summand: 1,x\n", ["poincare", "--flag", "0,1;1,1"],
+                "error: line 1: bad root '1,'",
+            ),
+            (
+                A2_QUIVER, "summand: 1,1\n", ["poincare", "--flag", "1,-1;1,1"],
+                "error: negative entry in dimension vector (1, -1)",
+            ),
+            (CYCLE_QUIVER, "", ["check-odd"], "error: quiver in {quiver} is not Dynkin"),
+            (
+                A2_QUIVER, "summand: 1,1\n", ["verify-bundle", "--prime", "25"],
+                "error: PrimeField needs a prime < 2^31, got 25",
+            ),
+            (
+                A2_QUIVER, "summand: 1,1\n", ["verify-bundle", "--prime", "1"],
+                "error: PrimeField needs a prime < 2^31, got 1",
+            ),
+        ],
+        ids=[
+            "empty-vertex-list", "unknown-directive", "arrow-without-arrow", "arrow-without-dst",
+            "multiplicity-0", "bad-multiplicity", "bad-root", "negative-flag-entry",
+            "check-odd-cycle", "prime-25", "prime-1",
+        ],
+    )
+    def test_exits_2(self, quiver_text, rep_text, argv, err, tmp_path, capsys):
+        quiver = tmp_path / "q.qv"
+        quiver.write_text(quiver_text)
+        rep = tmp_path / "r.rep"
+        rep.write_text(rep_text)
+        args = [argv[0], "--quiver", str(quiver), *argv[1:]]
+        if argv[0] == "poincare":
+            args += ["--rep", str(rep)]
+        elif argv[0] == "verify-bundle":
+            args = worked_bundle_args(quiver, tmp_path) + argv[1:]
+        code, out, got = run_cli(args, capsys)
+        assert (code, out, got) == (2, "", err.format(quiver=quiver) + "\n")
+
+    def test_empty_representation_verifies(self, a2, tmp_path, capsys):
+        # weight 0 forces the empty flag: the polynomial is 1 at every prime
+        rep = tmp_path / "empty.rep"
+        rep.write_text("")
+        args = ["poincare", "--quiver", str(a2), "--rep", str(rep), "--flag", "0,0", "--verify"]
+        assert run_cli(args, capsys) == (0, "1\nverified at q = 2, 3\n", "")

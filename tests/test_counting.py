@@ -10,6 +10,7 @@ import pytest
 from flagmann import (
     FlagType,
     PrimeField,
+    QQ,
     Quiver,
     Representation,
     RootMultiset,
@@ -388,6 +389,12 @@ class TestBudget:
         rep = one_vertex_rep(3, F2)
         u = FlagType(((1,), (2,), (3,)))
         assert candidate_estimate(rep, u) >= 21
+
+    def test_rational_representation_rejected(self):
+        rep = one_vertex_rep(2, QQ)
+        message = "^the counting oracle needs a representation over a prime field$"
+        with pytest.raises(InputError, match=message):
+            count_flags(rep, FlagType(((1,), (2,))))
 
 
 class TestSampling:

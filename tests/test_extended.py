@@ -69,6 +69,12 @@ class TestExtendedQuiver:
         with pytest.raises(InputError):
             extend_quiver(A2, 0)
 
+    def test_rep0_needs_the_extended_quiver(self):
+        rep = indecomposable_for_root(A2, (1, 1), F2)
+        message = "^representation does not live on the extended quiver$"
+        with pytest.raises(InputError, match=message):
+            Rep0Representation(extend_quiver(A2, 2), rep)
+
 
 class TestPhi:
     def test_depth_one_is_relabeling(self):
@@ -379,6 +385,21 @@ class TestVerifyFiberRank:
         assert report.expected_rank == 0
         assert report.ok
         assert all(x == 0 for x in report.fiber_dims)
+
+    def test_fields_and_lengths_checked(self):
+        p2 = indecomposable_for_root(A2, (1, 1), F2)
+        s1 = indecomposable_for_root(A2, (1, 0), F2)
+        v_flag, w_flag = FlagType(((0, 1), (1, 1))), FlagType(((1, 0), (1, 0)))
+        cases = [
+            (indecomposable_for_root(A2, (1, 1), F3), s1, v_flag, w_flag,
+             "representations must share a quiver and a field"),
+            (indecomposable_for_root(A2, (1, 1), QQ), indecomposable_for_root(A2, (1, 0), QQ),
+             v_flag, w_flag, "fiber verification works over a prime field"),
+            (p2, s1, v_flag, FlagType(((1, 0),)), "flag types of different lengths"),
+        ]
+        for v_rep, w_rep, sub_flag, quot_flag, message in cases:
+            with pytest.raises(InputError, match=f"^{message}$"):
+                verify_fiber_rank(v_rep, w_rep, sub_flag, quot_flag)
 
     def test_precondition_enforced(self):
         s1 = indecomposable_for_root(A2, (1, 0), F2)

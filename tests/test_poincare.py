@@ -182,26 +182,26 @@ def _splitting_cases():
 class TestSplittings:
     def test_one_vertex_example(self):
         u = FlagType(((1,), (2,)))
-        splits = enumerate_splittings(ONE, u.steps, (1,), (1,))
+        splits = enumerate_splittings(ONE, u.steps, (1,))
         subs = sorted(sub for sub, _, _ in splits)
         assert subs == [((0,), (1,)), ((1,), (1,))]
 
     def test_constant_flag_forces_constant_splits(self):
         u = FlagType(((1, 1), (1, 1)))
-        splits = enumerate_splittings(A2, u.steps, (1, 0), (0, 1))
+        splits = enumerate_splittings(A2, u.steps, (0, 1))
         assert len(splits) == 1
         assert splits[0][0] == ((1, 0), (1, 0))
 
     def test_zero_quotient_single_split(self):
         u = FlagType(((0, 1), (1, 1)))
-        splits = enumerate_splittings(A2, u.steps, (1, 1), (0, 0))
+        splits = enumerate_splittings(A2, u.steps, (0, 0))
         assert len(splits) == 1
         assert splits[0][1] == ((0, 0), (0, 0))
 
     def test_complement_and_monotone(self):
         cases = [(A2, FlagType(((1, 1), (2, 1), (2, 2))), (1, 1), (1, 1))]
         for quiver, u, sub_total, quot_total in cases + list(_splitting_cases()):
-            for v, w, _ in enumerate_splittings(quiver, u.steps, sub_total, quot_total):
+            for v, w, _ in enumerate_splittings(quiver, u.steps, quot_total):
                 assert v[-1] == sub_total and w[-1] == quot_total
                 for vs, ws, us in zip(v, w, u.steps):
                     assert tuple(a + b for a, b in zip(vs, ws)) == us
@@ -210,7 +210,7 @@ class TestSplittings:
 
     def test_same_splits_as_reference(self):
         for quiver, u, sub_total, quot_total in _splitting_cases():
-            got = enumerate_splittings(quiver, u.steps, sub_total, quot_total)
+            got = enumerate_splittings(quiver, u.steps, quot_total)
             want = _reference_splittings(quiver, u, sub_total)
             assert list(got) == want, (
                 quiver.arrows,
@@ -222,14 +222,14 @@ class TestSplittings:
 
     def test_bad_totals(self):
         u = FlagType(((0, 1), (1, 1)))
-        for sub_total, quot_total in (
-            ((1, 0), (1, 0)),  # does not add up to the weight
-            ((2, 1), (-1, 0)),  # negative entry
-            ((1, 1, 0), (0, 0)),  # wrong length
-            ((0, 1), (1, 0, 0)),
+        for quot_total in (
+            (1, 0, 0),  # wrong length
+            (1,),
+            (-1, 0),  # negative entry
+            (0, 2),  # above the weight (1, 1)
         ):
             with pytest.raises(InputError):
-                enumerate_splittings(A2, u.steps, sub_total, quot_total)
+                enumerate_splittings(A2, u.steps, quot_total)
 
 
 class TestDirectedOrder:
@@ -382,6 +382,11 @@ class TestPoincare:
         ms = RootMultiset(A2, (((1, 1), 1),))
         with pytest.raises(InputError):
             poincare(ms, FlagType(((1, 0), (2, 1))))
+
+    def test_multiset_of_another_quiver(self):
+        ms = RootMultiset(quiver_a(2, [1]), (((1, 1), 1),))
+        with pytest.raises(InputError, match="^multiset belongs to a different quiver$"):
+            engine_for(A2).poincare(ms, FlagType(((1, 1),)))
 
     def test_oracle_equivalence_small(self):
         # a rank <= 4 cross-section of the big acceptance sweep, at q = 5 too

@@ -265,6 +265,12 @@ class TestRootMultisetAndBuild:
         with pytest.raises(InputError):
             RootMultiset(A2, (((2, 0), 1),))
 
+    def test_direct_sum_needs_one_quiver(self):
+        a = indecomposable_for_root(A2, (1, 0), QQ)
+        b = indecomposable_for_root(quiver_a(2, [1]), (1, 0), QQ)
+        with pytest.raises(InputError, match="^direct sum needs matching quiver and field$"):
+            direct_sum(a, b)
+
     def test_sum_of_simples(self):
         ms = RootMultiset(A2, (((1, 0), 1), ((0, 1), 1)))
         rep = build_rep(ms, QQ)
@@ -311,8 +317,8 @@ class TestRootMultisetAndBuild:
                     assert rhs == hom_dim(reps[a], reps[b]) + hom_dim(reps[a], reps[c])
 
     def test_parse_rep_spec(self):
-        ms = parse_rep_spec("# rep\nsummand: 1,1 x 2\nsummand: 0,1\n", A2)
-        assert ms.items == (((0, 1), 1), ((1, 1), 2))
+        ms = parse_rep_spec("# rep\nsummand: 1,1 x 2\nsummand: 0,1\nsummand: 1,0x3\n", A2)
+        assert ms.items == (((0, 1), 1), ((1, 0), 3), ((1, 1), 2))
         with pytest.raises(InputError):
             parse_rep_spec("summand: 9,9\n", A2)
         with pytest.raises(InputError):
