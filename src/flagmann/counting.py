@@ -14,6 +14,14 @@ earlier step still walks each of its points.  A first step is walked once
 per representation: its exact quotients are tallied with multiplicity, and
 each distinct one is counted once per tail of the flag.
 
+One counter per quiver and prime owns the tables: the count memo, the
+quotient table of each first step, and the tuple of k-dimensional subspaces
+between two bounds for each interval the walk meets, which is listed once
+and then iterated.  They share one bound, `_MEMO_BOUND` entries (a tuple
+counts its length), checked wherever an entry is added, and are cleared
+together; an interval with more points than the bound is streamed from
+`subspaces_between` and never stored.
+
 Everything here works over PrimeField representations only.
 """
 
@@ -25,6 +33,7 @@ from typing import Iterator
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
 from .linalg import (
     PrimeField,
+    _rref_bases,
     gaussian_binomial,
     identity_rows,
     image_rowspace,
@@ -39,7 +48,8 @@ from .quiver import FlagType, Quiver, flag_differences
 from .reps import Representation, quotient_maps, subrep_subspaces
 
 DEFAULT_BUDGET = 10**8
-# entries the count memo and the quotient tables hold together before both are cleared
+# entries the count memo, the quotient tables and the interval tuples hold
+# together before all of them are cleared
 _MEMO_BOUND = 1_000_000
 
 
@@ -56,7 +66,8 @@ def candidate_estimate(rep: Representation, flag_type: FlagType) -> int:
 
 
 class _Counter:
-    """Per-(quiver, prime) enumeration engine: a shared count memo and quotient tables."""
+    """Per-(quiver, prime) enumeration engine: a shared count memo, quotient
+    tables and interval tuples under one bound, and the whole-space bases."""
 
     def __init__(self, quiver: Quiver, p: int):
         self.p = p
@@ -73,7 +84,20 @@ class _Counter:
             self.neighbors[t].add(s)
         self.memo: dict = {}
         self.tables: dict = {}
+        self.spans: dict = {}
+        self.span_entries = 0
+        self.wholes: dict = {}
         self.orders: dict = {}
+
+    def _make_room(self, extra: int) -> None:
+        """Clear the memo, the quotient tables, the interval tuples and the
+        whole-space bases when `extra` more entries would pass the bound."""
+        if len(self.memo) + len(self.tables) + self.span_entries + extra > _MEMO_BOUND:
+            self.memo.clear()
+            self.tables.clear()
+            self.spans.clear()
+            self.span_entries = 0
+            self.wholes.clear()
 
     # -- vertex ordering -------------------------------------------------
 
@@ -101,6 +125,29 @@ class _Counter:
 
     # -- subrepresentation enumeration ------------------------------------
 
+    def between(self, low: tuple, up: tuple, k: int):
+        """The k-dimensional subspaces S with low <= S <= up, in the order of
+        `subspaces_between`, as a tuple kept under the bound; the walk passes
+        len(low) <= k <= len(up).  An unbounded interval is the cached full
+        enumeration itself; an interval with more points than the bound is
+        streamed and never stored."""
+        if k == len(low):
+            return (low,)
+        key = (low, up, k)
+        found = self.spans.get(key)
+        if found is not None:
+            return found
+        size = gaussian_binomial(len(up) - len(low), k - len(low), self.p)
+        if size > _MEMO_BOUND:
+            return subspaces_between(low, up, k, self.p)
+        if not low and len(up) == len(up[0]):
+            return _rref_bases(len(up), k, self.p)
+        self._make_room(size)
+        found = tuple(subspaces_between(low, up, k, self.p))
+        self.spans[key] = found
+        self.span_entries += size
+        return found
+
     def intervals(
         self,
         dims: tuple[int, ...],
@@ -121,7 +168,9 @@ class _Counter:
         valid until the next yield.  The quiver needs at least one vertex.
         """
         p = self.p
-        uppers = [identity_rows(d, p) for d in dims]
+        uppers = self.wholes.get(dims)
+        if uppers is None:
+            uppers = self.wholes[dims] = tuple(identity_rows(d, p) for d in dims)
         lowers = list(containing) if containing is not None else [()] * self.n
         gap = [
             gaussian_binomial(len(uppers[i]) - len(lowers[i]), target[i] - len(lowers[i]), p)
@@ -154,7 +203,7 @@ class _Counter:
                     if pos == last:
                         yield chosen, i, low, up
                     else:
-                        pending.append(subspaces_between(low, up, target[i], p))
+                        pending.append(iter(self.between(low, up, target[i])))
             # move on to the next candidate at the deepest open position
             while pending:
                 j = order[len(pending) - 1]
@@ -181,7 +230,7 @@ class _Counter:
             yield ()
             return
         for chosen, i, low, up in self.intervals(dims, maps, target, containing):
-            for sub in subspaces_between(low, up, target[i], self.p):
+            for sub in self.between(low, up, target[i]):
                 chosen[i] = sub
                 yield tuple(chosen)
             chosen[i] = None
@@ -199,9 +248,7 @@ class _Counter:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        if len(self.memo) + len(self.tables) > _MEMO_BOUND:
-            self.memo.clear()
-            self.tables.clear()
+        self._make_room(0)
         k = diffs[0]
         total = 0
         if len(diffs) == 2:

@@ -18,11 +18,10 @@ from .linalg import (
     QQ,
     FieldSpec,
     PrimeField,
-    apply_rows,
     mat_mul_rows,
     quotient_map_rows,
     rank_rows,
-    rowspace_contains,
+    rowspace_leq,
     rref_rows,
 )
 from .quiver import (
@@ -356,10 +355,15 @@ def canonical_subspaces(rep: Representation, subspaces: Subspaces) -> Subspaces:
 
 
 def _is_stable(rep: Representation, canon: Subspaces) -> bool:
+    """Each arrow maps its source subspace into its target subspace: the
+    images of a source basis are its product with the transposed map, which
+    skips the basis's zero entries.  An arrow from a zero subspace or into a
+    whole target space needs no check."""
     p = rep.field.char
     for (s, t), m in zip(rep.quiver.arrow_indices, rep.maps):
-        for row in canon[s]:
-            if not rowspace_contains(canon[t], apply_rows(m, row, p), p):
+        if canon[s] and len(canon[t]) < rep.dims[t]:
+            images = mat_mul_rows(canon[s], tuple(zip(*m)), p)
+            if not rowspace_leq(images, canon[t], p):
                 return False
     return True
 

@@ -103,6 +103,17 @@ def subreps(rep: Representation, target):
         yield point[0]
 
 
+def is_stable_rowwise(rep: Representation, subspaces) -> bool:
+    """Whether every arrow maps each basis row of its source subspace into its
+    target subspace, one row at a time."""
+    p = rep.field.char
+    return all(
+        rowspace_contains(subspaces[t], apply_rows(m, vec, p), p)
+        for (s, t), m in zip(rep.quiver.arrow_indices, rep.maps)
+        for vec in subspaces[s]
+    )
+
+
 def brute_force_flags(rep: Representation, flag_type: FlagType) -> list:
     """Every flag of `flag_type` in `rep`, by brute force: each step is a
     product of per-vertex RREF bases kept when every arrow maps it into
@@ -113,11 +124,7 @@ def brute_force_flags(rep: Representation, flag_type: FlagType) -> list:
         layers.append([
             subs
             for subs in product(*(_rref_bases(n, k, p) for n, k in zip(rep.dims, step)))
-            if all(
-                rowspace_contains(subs[t], apply_rows(m, vec, p), p)
-                for (s, t), m in zip(rep.quiver.arrow_indices, rep.maps)
-                for vec in subs[s]
-            )
+            if is_stable_rowwise(rep, subs)
         ])
     return [
         chain

@@ -2,6 +2,7 @@
 the partition identity, budget guardrail and deterministic ordering."""
 
 import hashlib
+import inspect
 import random
 from collections import Counter
 
@@ -28,9 +29,11 @@ from flagmann import (
 from flagmann import counting
 from flagmann.counting import candidate_estimate
 from flagmann.errors import BudgetExceededError, InputError, InternalConsistencyError
+from flagmann.linalg import _rref_bases, identity_rows, mat_mul_rows, rref_rows, subspaces_between
 from flagmann.reps import quotient_maps
 
 from helpers import (
+    all_orientations,
     brute_force_flags,
     multisets_upto,
     quiver_a,
@@ -265,6 +268,95 @@ class TestCountFlags:
     def test_weight_mismatch(self):
         with pytest.raises(InputError):
             count_flags(one_vertex_rep(2, F2), FlagType(((1,), (3,))))
+
+
+def random_interval(rng, n, p):
+    """Seeded RREF bases low <= up inside F_p^n and a dimension between them."""
+    ku = rng.randint(0, n)
+    up = rng.choice(_rref_bases(n, ku, p))
+    kl = rng.randint(0, ku)
+    low = rref_rows(mat_mul_rows(rng.choice(_rref_bases(ku, kl, p)), up, p), p)[0]
+    return low, up, rng.randint(kl, ku)
+
+
+class TestIntervalTuples:
+    """The counter lists the subspaces between two bounds once, in the order
+    of `subspaces_between`, and keeps no more of them than the memo bound."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_tuple_is_the_enumeration_and_is_kept(self, p):
+        rng = random.Random(p)
+        ctr = counting._Counter(quiver_a(2), p)
+        kinds = Counter()
+        for _ in range(200):
+            low, up, k = random_interval(rng, rng.randint(0, 4), p)
+            got = ctr.between(low, up, k)
+            assert got == tuple(subspaces_between(low, up, k, p))
+            if k == len(low):
+                kinds["point"] += 1
+            elif not low and up == identity_rows(len(up), p):
+                assert got is _rref_bases(len(up), k, p)
+                kinds["unbounded"] += 1
+            else:
+                assert ctr.spans[low, up, k] is got
+                kinds["stored"] += 1
+            if k > len(low):
+                assert ctr.between(low, up, k) is got
+        assert min(kinds.values()) >= 10 and len(kinds) == 3, kinds
+        assert ctr.span_entries == sum(map(len, ctr.spans.values()))
+
+    def test_interval_over_the_bound_is_streamed(self, monkeypatch):
+        monkeypatch.setattr(counting, "_MEMO_BOUND", 6)
+        ctr = counting._Counter(quiver_a(2), 2)
+        whole = identity_rows(4, 2)
+        e1, e2, e3 = whole[:3]
+        # 7 planes through a line in F_2^4, 15 lines in F_2^4
+        for low, up, k in (((e1,), whole, 2), ((), whole, 1)):
+            big = ctr.between(low, up, k)
+            assert inspect.isgenerator(big)
+            assert tuple(big) == tuple(subspaces_between(low, up, k, 2))
+        assert not ctr.spans and ctr.span_entries == 0
+        # 3 planes through a line in a 3-space: stored and counted
+        first = ctr.between((e1,), (e1, e2, e3), 2)
+        assert ctr.spans == {((e1,), (e1, e2, e3), 2): first} and ctr.span_entries == 3
+        # 3 more with one memo entry pass the bound: all tables clear first
+        ctr.memo["entry"] = 1
+        second = ctr.between((e2,), (e1, e2, e3), 2)
+        assert ctr.spans == {((e2,), (e1, e2, e3), 2): second} and ctr.span_entries == 3
+        assert not ctr.memo and not ctr.wholes
+
+    def test_counts_survive_clears_under_a_small_bound(self, monkeypatch):
+        monkeypatch.setattr(counting, "_counters", {})
+        monkeypatch.setattr(counting, "_MEMO_BOUND", 8)
+        clears = []
+        make_room = counting._Counter._make_room
+
+        def held(ctr):
+            return len(ctr.memo) + len(ctr.tables) + ctr.span_entries
+
+        def watched(ctr, extra):
+            before = held(ctr)
+            make_room(ctr, extra)
+            if before and not held(ctr):
+                clears.append(before)
+
+        monkeypatch.setattr(counting._Counter, "_make_room", watched)
+        rng = random.Random(1838)
+        checked = nonzero = 0
+        for quiver in all_orientations(quiver_d(4)):
+            roots = positive_roots(quiver)
+            for field in (F2, F3):
+                drawn = [rng.choice(roots) for _ in range(3)]
+                rep = build_rep(RootMultiset.from_roots(quiver, tuple(drawn)), field)
+                types = [u for u in flag_types(rep.dims, 3) if u.d == 3]
+                for u in rng.sample(types, min(6, len(types))):
+                    want = len(brute_force_flags(rep, u))
+                    assert count_flags(rep, u) == want, u.steps
+                    nonzero += want > 0
+                    ctr = counting._counter(rep)
+                    assert ctr.span_entries == sum(map(len, ctr.spans.values())) <= 8
+                    checked += 1
+        assert checked >= 90 and nonzero >= 40 and len(clears) >= 50
 
 
 NON_TREE_QUIVERS = {

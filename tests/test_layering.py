@@ -1,9 +1,9 @@
 """Layering: every module of the package imports at module level only, so
 the import graph is the one the module headers show, and exact rational
-arithmetic has one owner, `linalg`; no nested function calls itself;
-every name the benchmark's tracer wraps or reads still exists; and the
-package's public names are the pinned ones, each with a caller outside the
-tests."""
+arithmetic has one owner, `linalg`; no nested function calls itself; the
+oracle's interval tuples have one owner; every name the benchmark's tracer
+wraps or reads still exists; and the package's public names are the pinned
+ones, each with a caller outside the tests."""
 
 import ast
 import importlib.util
@@ -70,6 +70,28 @@ def imported_modules(path: Path) -> set[str]:
 def test_only_linalg_imports_fractions():
     users = sorted(p.name for p in SRC.glob("*.py") if "fractions" in imported_modules(p))
     assert users == ["linalg.py"]
+
+
+def enclosing_uses(path: Path, name: str) -> list[tuple[str, ...]]:
+    """The enclosing class and function names of every read of `name`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    stack = [(tree, ())]
+    while stack:
+        node, enclosing = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing += (node.name,)
+        elif isinstance(node, ast.Name) and node.id == name:
+            found.append(enclosing)
+        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_the_counter_lists_intervals():
+    # every interval of the oracle's walk goes through the tuples the
+    # counter keeps under its memo bound
+    uses = enclosing_uses(SRC / "counting.py", "subspaces_between")
+    assert uses and set(uses) == {("_Counter", "between")}, uses
 
 
 def load_tracer():

@@ -2,6 +2,8 @@
 reflection-built indecomposables, direct sums, sub- and quotient objects."""
 
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -25,11 +27,11 @@ from flagmann import (
 )
 from flagmann import reps
 from flagmann.errors import InputError, InternalConsistencyError
-from flagmann.linalg import rank_rows
-from flagmann.reps import admissible_vertex_order, subrep_subspaces
+from flagmann.linalg import apply_rows, rank_rows, rref_rows
+from flagmann.reps import admissible_vertex_order, canonical_subspaces, subrep_subspaces
 
-from helpers import all_orientations, hom_space, mat_mul, quiver_a, quiver_d, quiver_e
-from helpers import simple_representation, zero_representation
+from helpers import all_orientations, hom_space, is_stable_rowwise, mat_mul
+from helpers import quiver_a, quiver_d, quiver_e, simple_representation, zero_representation
 
 A2 = quiver_a(2)
 F2 = PrimeField(2)
@@ -376,6 +378,65 @@ class TestSubAndQuotient:
         ss = rep_a2((1, 1), [[0]], field)
         assert quotient_representation(ss, (((1,),), ())).maps == (((),),)
         assert quotient_representation(ss, ((), ((1,),))).maps == ((),)
+
+
+def random_subspaces(rng, rep):
+    """Random RREF subspaces, half the time closed under the arrows and now
+    and then the whole space at one vertex."""
+    field, p = rep.field, rep.field.char
+    subs = [
+        rref_rows(
+            tuple(
+                tuple(field.coerce(rng.randint(-2, 2)) for _ in range(n))
+                for _ in range(rng.randint(0, n))
+            ),
+            p,
+        )[0]
+        for n in rep.dims
+    ]
+    if rng.random() < 0.3:
+        i = rng.randrange(rep.quiver.n)
+        n = rep.dims[i]
+        subs[i] = tuple(tuple(field.coerce(int(a == b)) for b in range(n)) for a in range(n))
+    if rng.random() < 0.5:
+        for _ in range(rep.quiver.n):
+            for (s, t), m in zip(rep.quiver.arrow_indices, rep.maps):
+                images = tuple(apply_rows(m, vec, p) for vec in subs[s])
+                subs[t] = rref_rows(subs[t] + images, p)[0]
+    return tuple(subs)
+
+
+class TestArrowStability:
+    @pytest.mark.parametrize("field", [F2, PrimeField(3), QQ], ids=["F2", "F3", "QQ"])
+    def test_agrees_with_the_row_by_row_check(self, field):
+        rng = random.Random(2029)
+        quivers = list(all_orientations(quiver_a(3))) + list(all_orientations(quiver_d(4)))
+        seen = Counter()
+        for _ in range(400):
+            quiver = rng.choice(quivers)
+            dims = tuple(rng.randint(0, 3) for _ in quiver.vertices)
+            maps = tuple(
+                tuple(
+                    tuple(field.coerce(rng.randint(-2, 2)) for _ in range(dims[s]))
+                    for _ in range(dims[t])
+                )
+                for s, t in quiver.arrow_indices
+            )
+            rep = Representation(quiver, field, dims, maps)
+            canon = canonical_subspaces(rep, random_subspaces(rng, rep))
+            want = is_stable_rowwise(rep, canon)
+            assert reps._is_stable(rep, canon) == want
+            if want:
+                assert subrep_subspaces(rep, canon) == canon
+            else:
+                with pytest.raises(InputError, match="not arrow-stable"):
+                    subrep_subspaces(rep, canon)
+            seen["stable" if want else "unstable"] += 1
+            for s, t in quiver.arrow_indices:
+                seen["zero source"] += dims[s] == 0
+                seen["zero target"] += dims[t] == 0
+                seen["whole target"] += 0 < len(canon[t]) == dims[t] and bool(canon[s])
+        assert min(seen.values()) >= 20 and len(seen) == 5, seen
 
 
 class TestAdmissibleOrder:
