@@ -294,6 +294,9 @@ def main(argv=None) -> None:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a budget admits at least one candidate; `roots` takes none
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise InputError(f"--budget must be at least 1, got {args.budget}")
         code = args.func(args)
     except VerificationError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")

@@ -12,7 +12,10 @@ the last one of the walk is fixed, the completions are the subspaces
 between two fixed ones at that vertex, a Gaussian binomial in number; every
 earlier step still walks each of its points.  A first step is walked once
 per representation: its exact quotients are tallied with multiplicity, and
-each distinct one is counted once per tail of the flag.
+each distinct one is counted once per tail of the flag.  The count memo keys
+each flag variety once: `count_flags` drops the zero step differences, which
+zero and repeated steps give and which do not change the variety, while the
+enumeration keeps every step, since it hands out points.
 
 One counter per quiver and prime owns the tables: the count memo, the
 quotient table of each first step, and the tuple of k-dimensional subspaces
@@ -334,7 +337,8 @@ def count_flags(rep: Representation, flag_type: FlagType, budget: int | None = N
     """|F_u(V)(F_p)| by exhaustive chained enumeration (quotient form)."""
     _check_budget(rep, flag_type, budget)
     ctr = _counter(rep)
-    return ctr.count(rep.dims, rep.maps, flag_differences(flag_type))
+    # a zero difference is a zero or repeated step: the same flag variety
+    return ctr.count(rep.dims, rep.maps, tuple(filter(any, flag_differences(flag_type))))
 
 
 def intersection_dims(point: tuple, subspaces: tuple, p: int) -> tuple:

@@ -11,12 +11,14 @@ palindromic polynomial 1 + c_1 q + ... + c_1 q^(D-1) + q^D of the expected
 dimension D; its middle coefficients are fitted to finite-field counts and
 checked at one held-out prime.  An empty one, read off F_2, is checked at F_3.
 
-The recursion runs on raw step tuples and coefficient tuples.  A set of
-splittings is named by the ambient steps and the quotient side's total, the
-peeled summand's root; each splitting is a (sub steps, quotient steps, rank)
-triple.  The input is validated once, as a `FlagType`; a `FlagType` is built
-again only for a base case computed for the first time, and the answer is
-wrapped into one `PoincarePolynomial`.
+The recursion runs on step tuples and coefficient tuples, and its memo keys
+each flag variety once: a zero step, or a step equal to the one before, does
+not change the variety, so `_poincare_seq` and `base_case` drop them before
+the lookup.  A set of splittings is named by the ambient steps and the
+quotient side's total, the peeled summand's root; each splitting is a
+(sub steps, quotient steps, rank) triple.  The input is validated once, as a
+`FlagType`; a `FlagType` is built again only for a base case computed for
+the first time, and the answer is wrapped into one `PoincarePolynomial`.
 """
 
 from __future__ import annotations
@@ -117,6 +119,18 @@ class PoincarePolynomial:
         return " + ".join(parts)
 
 
+def _distinct_steps(steps: tuple[DimVector, ...]) -> tuple[DimVector, ...]:
+    """The steps without the zero ones and without a repeat of the step
+    before: the same flag variety, written one way."""
+    out = []
+    prev = None
+    for step in steps:
+        if step != prev and any(step):
+            out.append(step)
+        prev = step
+    return tuple(out)
+
+
 def _telescoped_rank(
     quiver: Quiver, w: tuple[DimVector, ...], v: tuple[DimVector, ...]
 ) -> int:
@@ -211,9 +225,9 @@ def directed_order(multiset: RootMultiset) -> tuple[DimVector, ...]:
 class PoincareEngine:
     """The recursion for one Dynkin quiver and budget, with its memo.
 
-    `_poly` maps (summands in directed order, flag steps) to coefficient
-    tuples; a single summand's entry is its base case.  Get an engine from
-    `engine_for`, which keeps one per (quiver, budget).
+    `_poly` maps (summands in directed order, distinct nonzero flag steps)
+    to coefficient tuples; a single summand's entry is its base case.  Get
+    an engine from `engine_for`, which keeps one per (quiver, budget).
     """
 
     def __init__(self, quiver: Quiver, budget: int | None = None):
@@ -319,7 +333,7 @@ class PoincareEngine:
         )
 
     def base_case(self, root: DimVector, u: FlagType) -> PoincarePolynomial:
-        key = ((root,), u.steps)
+        key = ((root,), _distinct_steps(u.steps))
         hit = self._poly.get(key)
         if hit is None:
             poly = self.base_case_rigid_interpolation(self.single(root), u)
@@ -353,6 +367,8 @@ class PoincareEngine:
         order, for the flag type with these steps."""
         if not seq:
             return (1,)  # weight 0 forces the empty flag
+        # a nonempty seq has a nonzero weight, so the last step stays
+        steps = _distinct_steps(steps)
         key = (seq, steps)
         hit = self._poly.get(key)
         if hit is not None:

@@ -15,12 +15,16 @@ import pytest
 import flagmann
 from flagmann import (
     QQ,
+    BudgetExceededError,
     FlagType,
     PoincareEngine,
+    PrimeField,
     RootMultiset,
     build_rep,
+    count_flags,
     engine_for,
     ext1_dim,
+    parse_flag_type,
     parse_quiver,
     positive_roots,
 )
@@ -187,6 +191,36 @@ class TestPoincare:
         assert code == 4
         assert "budget" in err
 
+    def test_padded_flag_exits_4_alike(self, d4, tmp_path, capsys):
+        # zero and repeated steps add a factor 1 to the estimate: the same
+        # inputs exit 4, with the same message, in the recursion and the oracle
+        rep = tmp_path / "two.rep"
+        rep.write_text("summand: 1,2,1,1\nsummand: 0,1,0,0\n")
+        plain = "0,1,0,0;1,3,1,1"
+        args = ["poincare", "--quiver", str(d4), "--rep", str(rep), "--budget", "3"]
+        code, out, err = run_cli(args + ["--flag", plain], capsys)
+        assert (code, out) == (4, "")
+        assert err == (
+            "budget exceeded: base case out of desk range for summands "
+            "(((1, 2, 1, 1), 1),): estimated 4 candidate tuples exceeds budget 3\n"
+        )
+        ms = RootMultiset(parse_quiver(D4_QUIVER), (((1, 2, 1, 1), 1), ((0, 1, 0, 0), 1)))
+        v = build_rep(ms, PrimeField(2))
+        with pytest.raises(BudgetExceededError) as raw:
+            count_flags(v, parse_flag_type(plain, ms.quiver), 3)
+        for padded in (
+            "0,0,0,0;" + plain,
+            "0,1,0,0;0,1,0,0;1,3,1,1",
+            plain + ";1,3,1,1",
+            "0,0,0,0;0,0,0,0;0,1,0,0;0,1,0,0;1,3,1,1;1,3,1,1",
+        ):
+            assert run_cli(args + ["--flag", padded], capsys) == (4, "", err)
+            with pytest.raises(BudgetExceededError) as exc:
+                count_flags(v, parse_flag_type(padded, ms.quiver), 3)
+            assert str(exc.value) == str(raw.value) == (
+                "estimated 7 candidate tuples exceeds budget 3"
+            )
+
     def test_deep_summand_recursion_exits_4(self, tmp_path, capsys):
         quiver = tmp_path / "one.qv"
         quiver.write_text("vertices: 1\n")
@@ -214,16 +248,14 @@ class TestPoincare:
         assert (huge.returncode, huge.stdout, huge.stderr) == (
             4, "", "budget exceeded: recursion deeper than the interpreter allows\n"
         )
-        # a flag deeper than the recursion limit still ends in the
-        # RecursionError branch
+        # zero steps do not change the variety: a flag of 1,501 steps that
+        # are zero but the last is the point the one-step flag is
         rep.write_text("summand: 1\n")
         flag = ";".join(["0"] * 1500 + ["1"])
         code, out, err = run_cli(
             ["poincare", "--quiver", str(quiver), "--rep", str(rep), "--flag", flag], capsys
         )
-        assert (code, out, err) == (
-            4, "", "budget exceeded: recursion deeper than the interpreter allows\n"
-        )
+        assert (code, out, err) == (0, "1\n", "")
 
     def test_non_utf8_rep_exits_2(self, a2, tmp_path, capsys):
         rep = tmp_path / "bad.rep"
@@ -716,11 +748,24 @@ class TestInputErrors:
                 A2_QUIVER, "summand: 1,1\n", ["verify-bundle", "--prime", "1"],
                 "error: PrimeField needs a prime < 2^31, got 1",
             ),
+            (
+                A2_QUIVER, "summand: 1,1\n", ["poincare", "--flag", "0,1;1,1", "--budget", "0"],
+                "error: --budget must be at least 1, got 0",
+            ),
+            (
+                A2_QUIVER, "", ["check-odd", "--budget", "-5"],
+                "error: --budget must be at least 1, got -5",
+            ),
+            (
+                A2_QUIVER, "summand: 1,1\n", ["verify-bundle", "--budget", "-5"],
+                "error: --budget must be at least 1, got -5",
+            ),
         ],
         ids=[
             "empty-vertex-list", "unknown-directive", "arrow-without-arrow", "arrow-without-dst",
             "multiplicity-0", "bad-multiplicity", "bad-root", "negative-flag-entry",
-            "check-odd-cycle", "prime-25", "prime-1",
+            "check-odd-cycle", "prime-25", "prime-1", "poincare-budget-0",
+            "check-odd-budget-negative", "verify-bundle-budget-negative",
         ],
     )
     def test_exits_2(self, quiver_text, rep_text, argv, err, tmp_path, capsys):

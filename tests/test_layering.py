@@ -1,6 +1,7 @@
 """Layering: every module of the package imports at module level only, so
-the import graph is the one the module headers show, and exact rational
-arithmetic has one owner, `linalg`; no nested function calls itself; the
+the import graph is the one the module headers show, exact rational
+arithmetic has one owner, `linalg`, and the oracle imports nothing from the
+recursion it checks; no nested function calls itself; the
 oracle's interval tuples have one owner; every name the benchmark's tracer
 wraps or reads still exists; and the package's public names are the pinned
 ones, each with a caller outside the tests."""
@@ -57,19 +58,37 @@ def test_no_nested_function_refers_to_itself():
 
 
 def imported_modules(path: Path) -> set[str]:
+    """Every module a file imports; a relative import inside the package
+    is named from the package, as `flagmann.linalg`."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        elif isinstance(node, ast.ImportFrom) and not node.level:
             found.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(f"{SRC.name}.{node.module}")
+        elif isinstance(node, ast.ImportFrom):
+            found.update(f"{SRC.name}.{alias.name}" for alias in node.names)
     return found
 
 
 def test_only_linalg_imports_fractions():
     users = sorted(p.name for p in SRC.glob("*.py") if "fractions" in imported_modules(p))
     assert users == ["linalg.py"]
+
+
+def test_the_oracle_imports_nothing_from_the_recursion(tmp_path):
+    # both layers drop zero and repeated steps at their own memo; the oracle
+    # that checks the recursion shares none of its code
+    found = imported_modules(SRC / "counting.py")
+    assert "flagmann.linalg" in found and "flagmann.poincare" not in found
+    assert "flagmann.counting" in imported_modules(SRC / "poincare.py")
+    planted = tmp_path / "planted.py"
+    for line in ("from .poincare import _distinct_steps", "from . import poincare"):
+        planted.write_text(line + "\n")
+        assert imported_modules(planted) == {"flagmann.poincare"}
 
 
 def enclosing_uses(path: Path, name: str) -> list[tuple[str, ...]]:

@@ -11,14 +11,20 @@ projective of dimension `rigid_dimension`, so its count polynomial is
 palindromic of that degree.
 
 Order independence: the recursion may peel the summands off in any order
-with Ext^1(earlier, later) = 0; each such order gives the same polynomial."""
+with Ext^1(earlier, later) = 0; each such order gives the same polynomial.
 
+Zero and repeated steps: a flag of type (0; a; a; b) is a flag of type
+(a; b), so both memos key the two as one variety; the enumeration keeps
+every raw step and is the reference for both."""
+
+import importlib
 import random
 
 import pytest
 
 from flagmann import QQ, FlagType, PoincareEngine, PoincarePolynomial, PrimeField, Quiver
-from flagmann import Representation, RootMultiset, build_rep, count_flags, directed_order
+from flagmann import Representation, RootMultiset, build_rep, count_flags, counting
+from flagmann import directed_order, enumerate_flags
 from flagmann import ext1_dim, indecomposable_for_root, rigid_dimension
 from flagmann.errors import BudgetExceededError
 
@@ -148,3 +154,79 @@ def test_directed_order_does_not_matter():
                 continue
             assert PoincarePolynomial(lhs) == rhs, (ms, u, order)
     assert cases == 420 and reordered >= 120 and over_budget <= 5
+
+
+def padded(u: FlagType, rng) -> list[FlagType]:
+    """The variety of `u` written with a leading zero step, with a repeated
+    interior step, with a repeated last step, and with all three."""
+    steps, top = u.steps, u.weight
+    if u.d > 1:
+        i = rng.randrange(u.d - 1)
+        interior = steps[: i + 1] + steps[i:]
+    else:
+        mid = tuple(rng.randint(0, x) for x in top)
+        interior = (mid, mid, top)
+    zero = (0,) * len(top)
+    return [
+        FlagType((zero,) + steps),
+        FlagType(interior),
+        FlagType(steps + (top,)),
+        FlagType((zero,) + interior + (top,)),
+    ]
+
+
+def test_zero_and_repeated_steps_match_the_raw_enumeration():
+    # a fresh engine per flag, so each answer is computed from its own steps
+    rng = random.Random(21)
+    cases = nonzero = 0
+    for base in (quiver_a(2), quiver_a(3), quiver_d(4)):
+        stop = cases + 12
+        while cases < stop:
+            ms, u = random_instance(rng, base)
+            if sum(ms.total) > 5:
+                continue
+            cases += 1
+            for v in padded(u, rng):
+                poly = PoincareEngine(ms.quiver).poincare(ms, v)
+                for p in (2, 3):
+                    rep = build_rep(ms, PrimeField(p))
+                    points = len(list(enumerate_flags(rep, v)))
+                    assert count_flags(rep, v) == poly.evaluate(p) == points, (ms, v, p)
+                    nonzero += points > 0
+    assert cases == 36 and nonzero >= 200
+
+
+def test_a_padded_flag_is_one_memo_entry(monkeypatch):
+    # (0; a; a; b) after (a; b): no recursion entry, no oracle call or
+    # count memo entry; (0; root), (root; root) after (root): no base case
+    quiver = quiver_d(4)
+    ms = RootMultiset(quiver, (((0, 1, 0, 0), 1), ((1, 1, 1, 1), 1)))
+    a, b = (0, 1, 0, 0), ms.total
+    zero = (0, 0, 0, 0)
+    calls = []
+
+    def counted(rep, u, budget=None):
+        calls.append(u.steps)
+        return count_flags(rep, u, budget)
+
+    monkeypatch.setattr(importlib.import_module("flagmann.poincare"), "count_flags", counted)
+    eng = PoincareEngine(quiver)
+    plain = eng.poincare(ms, FlagType((a, b)))
+    entries, made = len(eng._poly), len(calls)
+    assert made and eng.poincare(ms, FlagType((zero, a, a, b))) == plain
+    assert (len(eng._poly), len(calls)) == (entries, made)
+
+    root = (1, 1, 1, 1)
+    point = eng.base_case(root, FlagType((root,)))
+    entries, made = len(eng._poly), len(calls)
+    for steps in ((zero, root), (root, root)):
+        assert eng.base_case(root, FlagType(steps)) == point
+    assert (len(eng._poly), len(calls)) == (entries, made)
+
+    monkeypatch.setattr(counting, "_counters", {})
+    rep = build_rep(ms, PrimeField(3))
+    n = count_flags(rep, FlagType((a, b)))
+    memo = counting._counter(rep).memo
+    entries = len(memo)
+    assert count_flags(rep, FlagType((zero, a, a, b))) == n == plain.evaluate(3)
+    assert len(memo) == entries
