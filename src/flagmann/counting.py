@@ -19,11 +19,13 @@ enumeration keeps every step, since it hands out points.
 
 One counter per quiver and prime owns the tables: the count memo, the
 quotient table of each first step, and the tuple of k-dimensional subspaces
-between two bounds for each interval the walk meets, which is listed once
-and then iterated.  They share one bound, `_MEMO_BOUND` entries (a tuple
-counts its length), checked wherever an entry is added, and are cleared
-together; an interval with more points than the bound is streamed from
-`subspaces_between` and never stored.
+between two bounds for each interval the walk meets, unbounded ones
+included, which is listed once and then iterated.  It is the only place a
+listed subspace is kept.  The tables share one bound, `_MEMO_BOUND` entries
+(a tuple counts its length), checked wherever an entry is added, and are
+cleared together with the whole-space bases and the vertex orders; an
+interval with more points than the bound is streamed from
+`subspaces_between`, one point at a time, and never stored.
 
 Everything here works over PrimeField representations only.
 """
@@ -36,7 +38,6 @@ from typing import Iterator
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
 from .linalg import (
     PrimeField,
-    _rref_bases,
     gaussian_binomial,
     identity_rows,
     image_rowspace,
@@ -93,14 +94,16 @@ class _Counter:
         self.orders: dict = {}
 
     def _make_room(self, extra: int) -> None:
-        """Clear the memo, the quotient tables, the interval tuples and the
-        whole-space bases when `extra` more entries would pass the bound."""
+        """Clear all five tables (the memo, the quotient tables, the interval
+        tuples, the whole-space bases and the vertex orders) when `extra`
+        more entries would pass the bound."""
         if len(self.memo) + len(self.tables) + self.span_entries + extra > _MEMO_BOUND:
             self.memo.clear()
             self.tables.clear()
             self.spans.clear()
             self.span_entries = 0
             self.wholes.clear()
+            self.orders.clear()
 
     # -- vertex ordering -------------------------------------------------
 
@@ -130,10 +133,10 @@ class _Counter:
 
     def between(self, low: tuple, up: tuple, k: int):
         """The k-dimensional subspaces S with low <= S <= up, in the order of
-        `subspaces_between`, as a tuple kept under the bound; the walk passes
-        len(low) <= k <= len(up).  An unbounded interval is the cached full
-        enumeration itself; an interval with more points than the bound is
-        streamed and never stored."""
+        `subspaces_between`, as a tuple kept in `spans` under the bound,
+        unbounded intervals included; the walk passes
+        len(low) <= k <= len(up).  An interval with more points than the
+        bound is streamed one point at a time and never stored."""
         if k == len(low):
             return (low,)
         key = (low, up, k)
@@ -143,8 +146,6 @@ class _Counter:
         size = gaussian_binomial(len(up) - len(low), k - len(low), self.p)
         if size > _MEMO_BOUND:
             return subspaces_between(low, up, k, self.p)
-        if not low and len(up) == len(up[0]):
-            return _rref_bases(len(up), k, self.p)
         self._make_room(size)
         found = tuple(subspaces_between(low, up, k, self.p))
         self.spans[key] = found

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Iterator
 
@@ -189,13 +189,6 @@ def mat_mul_rows(a: Rows, b: Rows, p: int) -> Rows:
     return tuple(out)
 
 
-def apply_rows(m: Rows, vec: Row, p: int) -> Row:
-    """Apply the matrix (rows over source coordinates) to a column vector."""
-    if p:
-        return tuple(sum(x * v for x, v in zip(row, vec)) % p for row in m)
-    return tuple(Fraction(sum(x * v for x, v in zip(row, vec))) for row in m)
-
-
 # ---------------------------------------------------------------------------
 # Row-space (subspace) toolkit.  A subspace of F^n is its RREF row basis.
 # ---------------------------------------------------------------------------
@@ -243,7 +236,7 @@ def intersect_rowspaces(a: Rows, b: Rows, n: int, p: int) -> Rows:
 @lru_cache(maxsize=1 << 20)
 def image_rowspace(m: Rows, basis: Rows, p: int) -> Rows:
     """Row basis of the image of a row space under a matrix (column action)."""
-    return rref_rows(tuple(apply_rows(m, v, p) for v in basis), p)[0]
+    return rref_rows(mat_mul_rows(basis, tuple(zip(*m)), p), p)[0]
 
 
 @lru_cache(maxsize=1 << 20)
@@ -289,28 +282,26 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
-def _rref_bases(n: int, k: int, p: int) -> tuple[Rows, ...]:
-    """All RREF bases of k-dimensional subspaces of F_p^n, fixed order."""
-    out = []
+def _rref_bases(n: int, k: int, p: int) -> Iterator[Rows]:
+    """All RREF bases of k-dimensional subspaces of F_p^n, in a fixed order,
+    made one at a time and kept nowhere."""
     for pivots in combinations(range(n), k):
-        free = []
-        for r in range(k):
-            for c in range(pivots[r] + 1, n):
-                if c not in pivots:
-                    free.append((r, c))
-        base = [[0] * n for _ in range(k)]
-        for r in range(k):
-            base[r][pivots[r]] = 1
-        nfree = len(free)
-        for code in range(p**nfree):
-            rows = [list(row) for row in base]
-            c = code
-            for r, col in free:
-                rows[r][col] = c % p
-                c //= p
-            out.append(tuple(tuple(row) for row in rows))
-    return tuple(out)
+        # a row is its pivot's unit vector plus any values at the later
+        # non-pivot columns; rows vary on their own, the first row and its
+        # first free column fastest
+        rows = []
+        for piv in pivots:
+            free = [c for c in range(piv + 1, n) if c not in pivots]
+            options = []
+            for vals in product(range(p), repeat=len(free)):
+                row = [0] * n
+                row[piv] = 1
+                for c, v in zip(free, reversed(vals)):
+                    row[c] = v
+                options.append(tuple(row))
+            rows.append(options)
+        for basis in product(*reversed(rows)):
+            yield basis[::-1]
 
 
 def subspaces_between(lower: Rows, upper: Rows, k: int, p: int) -> Iterator[Rows]:
@@ -328,7 +319,7 @@ def subspaces_between(lower: Rows, upper: Rows, k: int, p: int) -> Iterator[Rows
         return
     if not lower:
         if ku == len(upper[0]):
-            # no bounds at all: the cached full enumeration applies verbatim
+            # no bounds at all: the full enumeration applies verbatim
             yield from _rref_bases(ku, k, p)
             return
         # with no lower bound the lift is t, and t * upper is already RREF:

@@ -1,12 +1,12 @@
 """Shared constructors, exhaustive generators and row-tuple references for
 the test suite.  A matrix is a tuple of row tuples, as in `flagmann.linalg`."""
 
+from fractions import Fraction
 from itertools import product
 
 from flagmann import FlagType, Quiver, Representation, RootMultiset, enumerate_flags, positive_roots
 from flagmann.linalg import (
     _rref_bases,
-    apply_rows,
     mat_mul_rows,
     null_space_rows,
     rowspace_contains,
@@ -101,6 +101,14 @@ def subreps(rep: Representation, target):
     steps of the two-step flags of type (target, dim rep), in their order."""
     for point in enumerate_flags(rep, FlagType((target, rep.dims))):
         yield point[0]
+
+
+def apply_rows(m, vec, p: int):
+    """The matrix `m` (rows over source coordinates) applied to one column
+    vector, entry by entry: the reference for the one-product image."""
+    if p:
+        return tuple(sum(x * v for x, v in zip(row, vec)) % p for row in m)
+    return tuple(Fraction(sum(x * v for x, v in zip(row, vec))) for row in m)
 
 
 def is_stable_rowwise(rep: Representation, subspaces) -> bool:

@@ -4,6 +4,7 @@ the partition identity, budget guardrail and deterministic ordering."""
 import hashlib
 import inspect
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -273,9 +274,9 @@ class TestCountFlags:
 def random_interval(rng, n, p):
     """Seeded RREF bases low <= up inside F_p^n and a dimension between them."""
     ku = rng.randint(0, n)
-    up = rng.choice(_rref_bases(n, ku, p))
+    up = rng.choice(tuple(_rref_bases(n, ku, p)))
     kl = rng.randint(0, ku)
-    low = rref_rows(mat_mul_rows(rng.choice(_rref_bases(ku, kl, p)), up, p), p)[0]
+    low = rref_rows(mat_mul_rows(rng.choice(tuple(_rref_bases(ku, kl, p))), up, p), p)[0]
     return low, up, rng.randint(kl, ku)
 
 
@@ -295,7 +296,7 @@ class TestIntervalTuples:
             if k == len(low):
                 kinds["point"] += 1
             elif not low and up == identity_rows(len(up), p):
-                assert got is _rref_bases(len(up), k, p)
+                assert ctr.spans[low, up, k] is got
                 kinds["unbounded"] += 1
             else:
                 assert ctr.spans[low, up, k] is got
@@ -321,9 +322,30 @@ class TestIntervalTuples:
         assert ctr.spans == {((e1,), (e1, e2, e3), 2): first} and ctr.span_entries == 3
         # 3 more with one memo entry pass the bound: all tables clear first
         ctr.memo["entry"] = 1
+        ctr._vertex_order([2, 1])
+        assert ctr.orders
         second = ctr.between((e2,), (e1, e2, e3), 2)
         assert ctr.spans == {((e2,), (e1, e2, e3), 2): second} and ctr.span_entries == 3
-        assert not ctr.memo and not ctr.wholes
+        assert not ctr.memo and not ctr.wholes and not ctr.orders
+
+    def test_streamed_interval_holds_no_listing(self, monkeypatch):
+        # the 200,787 planes of F_2^8, over a bound of 1,000: the stream
+        # keeps one basis at a time, and no cache elsewhere lists them
+        monkeypatch.setattr(counting, "_MEMO_BOUND", 1_000)
+        ctr = counting._Counter(quiver_a(2), 2)
+        whole = identity_rows(8, 2)
+        tracemalloc.start()
+        try:
+            big = iter(ctr.between((), whole, 4))
+            next(big)
+            after_first = tracemalloc.get_traced_memory()[0]
+            rest = sum(1 for _ in big)
+            after_last = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 1 + rest == 200_787
+        assert after_first < 1 << 20 and after_last < 1 << 20, (after_first, after_last)
+        assert not ctr.spans and ctr.span_entries == 0
 
     def test_counts_survive_clears_under_a_small_bound(self, monkeypatch):
         monkeypatch.setattr(counting, "_counters", {})

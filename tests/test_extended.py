@@ -31,10 +31,10 @@ from flagmann import (
 )
 from flagmann.errors import InputError
 from flagmann.extended import Rep0Representation, flag_subspaces
-from flagmann.linalg import apply_rows
 
 from helpers import (
     all_orientations,
+    apply_rows,
     hom_space,
     layer,
     mat_mul,

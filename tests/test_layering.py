@@ -107,10 +107,20 @@ def enclosing_uses(path: Path, name: str) -> list[tuple[str, ...]]:
 
 
 def test_only_the_counter_lists_intervals():
-    # every interval of the oracle's walk goes through the tuples the
-    # counter keeps under its memo bound
-    uses = enclosing_uses(SRC / "counting.py", "subspaces_between")
+    # every interval of the oracle's walk, unbounded ones included, goes
+    # through the tuples the counter keeps under its memo bound, and the
+    # oracle reads no listing of subspaces kept anywhere else
+    path = SRC / "counting.py"
+    uses = enclosing_uses(path, "subspaces_between")
     assert uses and set(uses) == {("_Counter", "between")}, uses
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "subspaces_between" in imported and "_rref_bases" not in imported
+    assert "_rref_bases" not in names_loaded(path)
 
 
 def load_tracer():

@@ -10,7 +10,6 @@ from flagmann import PrimeField, QQ, gaussian_binomial
 from flagmann.errors import InputError
 from flagmann.linalg import (
     _rref_bases,
-    apply_rows,
     identity_rows,
     image_rowspace,
     intersect_rowspaces,
@@ -26,7 +25,7 @@ from flagmann.linalg import (
     sum_rowspaces,
 )
 
-from helpers import zeros
+from helpers import apply_rows, zeros
 
 
 class TestFields:
@@ -129,26 +128,26 @@ class TestMatrix:
 
 class TestSubspaceEnumeration:
     def test_lines_in_f2_squared(self):
-        assert len(_rref_bases(2, 1, 2)) == 3
+        assert len(tuple(_rref_bases(2, 1, 2))) == 3
 
     def test_lines_in_f3_cubed(self):
         # (3^3 - 1) / (3 - 1) = 13
-        assert len(_rref_bases(3, 1, 3)) == 13
+        assert len(tuple(_rref_bases(3, 1, 3))) == 13
 
     def test_whole_space_unique(self):
-        assert len(_rref_bases(2, 2, 5)) == 1
+        assert len(tuple(_rref_bases(2, 2, 5))) == 1
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_counts_match_gaussian_binomial(self, p):
         for n in range(5):
             for k in range(n + 1):
-                got = _rref_bases(n, k, p)
+                got = tuple(_rref_bases(n, k, p))
                 assert len(got) == gaussian_binomial(n, k, p)
                 assert len(set(got)) == len(got)
 
     def test_enumeration_is_deterministic(self):
-        # a second, uncached run gives the same bases in the same order
-        assert _rref_bases.__wrapped__(4, 2, 3) == _rref_bases(4, 2, 3)
+        # two fresh runs give the same bases in the same order
+        assert tuple(_rref_bases(4, 2, 3)) == tuple(_rref_bases(4, 2, 3))
 
     def test_bases_are_rref(self):
         for basis in _rref_bases(4, 2, 2):
@@ -176,9 +175,9 @@ class TestRowspaceToolkit:
         for _ in range(60):
             n = rng.randint(1, 5)
             ku = rng.randint(1, n)
-            upper = rng.choice(_rref_bases(n, ku, p))
+            upper = rng.choice(tuple(_rref_bases(n, ku, p)))
             kl = rng.choice([0, 0, rng.randint(0, ku)])
-            t = rng.choice(_rref_bases(ku, kl, p))
+            t = rng.choice(tuple(_rref_bases(ku, kl, p)))
             lower = rref_rows(mat_mul_rows(t, upper, p), p)[0]
             for k in range(kl, ku + 1):
                 got = list(subspaces_between(lower, upper, k, p))
@@ -206,6 +205,21 @@ class TestRowspaceToolkit:
         pre = preimage_rowspace(m, ((0, 1),), 2, p)
         # vectors mapping into the second axis: kernel of the projection
         assert pre == ((0, 1),)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_image_is_the_rowwise_image(self, p):
+        # seeded maps, some with no rows, and bases, some empty: the image
+        # by one product equals the RREF of the images row by row
+        rng = random.Random(p)
+        kinds = set()
+        for _ in range(80):
+            n, t = rng.randint(1, 4), rng.randint(0, 3)
+            m = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(t))
+            basis = rng.choice(tuple(_rref_bases(n, rng.randint(0, n), p)))
+            kinds.add((bool(m), bool(basis)))
+            want = rref_rows(tuple(apply_rows(m, vec, p) for vec in basis), p)[0]
+            assert image_rowspace(m, basis, p) == want
+        assert len(kinds) == 4
 
     def test_sum_and_intersection(self):
         p = 3

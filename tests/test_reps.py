@@ -27,10 +27,10 @@ from flagmann import (
 )
 from flagmann import reps
 from flagmann.errors import InputError, InternalConsistencyError
-from flagmann.linalg import apply_rows, rank_rows, rref_rows
+from flagmann.linalg import rank_rows, rref_rows
 from flagmann.reps import admissible_vertex_order, canonical_subspaces, subrep_subspaces
 
-from helpers import all_orientations, hom_space, is_stable_rowwise, mat_mul
+from helpers import all_orientations, apply_rows, hom_space, is_stable_rowwise, mat_mul
 from helpers import quiver_a, quiver_d, quiver_e, simple_representation, zero_representation
 
 A2 = quiver_a(2)
