@@ -305,8 +305,9 @@ def main(argv=None) -> None:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         code = 4
     except RecursionError:
-        # the oracle's walk takes Python frames per flag step; too many
-        # summands are refused before the recursion starts
+        # `_Counter.count` takes a frame per nonzero step difference and
+        # `quiver._chains` one per step of `check-odd --d-max`; the summand
+        # recursion reports its own depth as a BudgetExceededError
         sys.stderr.write("budget exceeded: recursion deeper than the interpreter allows\n")
         code = 4
     except InputError as exc:

@@ -46,7 +46,6 @@ from .linalg import (
     rowspace_leq,
     rref_rows,
     subspaces_between,
-    sum_rowspaces,
 )
 from .quiver import FlagType, Quiver, flag_differences
 from .reps import Representation, quotient_maps, subrep_subspaces
@@ -193,7 +192,7 @@ class _Counter:
                 if chosen[s] is not None:
                     img = image_rowspace(maps[a], chosen[s], p)
                     if img:
-                        low = sum_rowspaces(low, img, p) if low else img
+                        low = rref_rows(low + img, p)[0] if low else img
             if len(low) <= target[i]:
                 up = uppers[i]
                 for a, t in self.out_arrows[i]:

@@ -6,6 +6,7 @@ the subspace enumerator and are deliberately allocation-light.
 
 Subspaces are always handled as row spaces of reduced-row-echelon matrices
 (tuples of row tuples), which doubles as their canonical form.
+`rowspace_leq` is the one containment test between them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterator
 
 from .errors import InputError
 
-Row = tuple
 Rows = tuple
 
 
@@ -77,12 +77,6 @@ FieldSpec = Rationals | PrimeField
 QQ = Rationals()
 
 
-def _inv(x, p: int):
-    if p:
-        return pow(x, p - 2, p)
-    return Fraction(1) / x
-
-
 def rref_rows(rows: Rows, p: int) -> tuple[Rows, tuple[int, ...]]:
     """Reduced row echelon form over F_p (or QQ when p == 0).
 
@@ -103,10 +97,11 @@ def rref_rows(rows: Rows, p: int) -> tuple[Rows, tuple[int, ...]]:
         if piv is None:
             continue
         work[rpos], work[piv] = work[piv], work[rpos]
-        inv = _inv(work[rpos][col], p)
         if p:
+            inv = pow(work[rpos][col], p - 2, p)
             work[rpos] = [(x * inv) % p for x in work[rpos]]
         else:
+            inv = Fraction(1) / work[rpos][col]
             work[rpos] = [x * inv for x in work[rpos]]
         for r in range(len(work)):
             if r != rpos and work[r][col]:
@@ -194,30 +189,21 @@ def mat_mul_rows(a: Rows, b: Rows, p: int) -> Rows:
 # ---------------------------------------------------------------------------
 
 
-def reduce_vector(vec: Row, basis: Rows, p: int) -> Row:
-    """Remainder of vec after elimination against an RREF basis."""
-    v = list(vec)
-    for row in basis:
-        lead = next(i for i, x in enumerate(row) if x)
-        f = v[lead]
-        if f:
-            if p:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-            else:
-                v = [a - f * b for a, b in zip(v, row)]
-    return tuple(v)
-
-
-def rowspace_contains(basis: Rows, vec: Row, p: int) -> bool:
-    return not any(reduce_vector(vec, basis, p))
-
-
 def rowspace_leq(small: Rows, big: Rows, p: int) -> bool:
-    return all(rowspace_contains(big, v, p) for v in small)
-
-
-def sum_rowspaces(a: Rows, b: Rows, p: int) -> Rows:
-    return rref_rows(a + b, p)[0]
+    """Whether span(small) lies in span(big), for an RREF basis `big`."""
+    pivoted = [(next(i for i, x in enumerate(row) if x), row) for row in big]
+    for vec in small:
+        v = list(vec)
+        for lead, row in pivoted:
+            f = v[lead]
+            if f:
+                if p:
+                    v = [(a - f * b) % p for a, b in zip(v, row)]
+                else:
+                    v = [a - f * b for a, b in zip(v, row)]
+        if any(v):
+            return False
+    return True
 
 
 def intersect_rowspaces(a: Rows, b: Rows, n: int, p: int) -> Rows:

@@ -358,7 +358,11 @@ class PoincareEngine:
             order = {root: pos for pos, root in enumerate(directed_order(multiset))}
             self._orders[roots] = order
         seq = tuple(sorted(multiset.expand(), key=order.__getitem__))
-        return PoincarePolynomial(self._poincare_seq(seq, u.steps))
+        try:
+            return PoincarePolynomial(self._poincare_seq(seq, u.steps))
+        except RecursionError:
+            # the frames above this call can tip a count under the limit over it
+            raise BudgetExceededError("recursion deeper than the interpreter allows") from None
 
     def _poincare_seq(
         self, seq: tuple[DimVector, ...], steps: tuple[DimVector, ...]

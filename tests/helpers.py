@@ -9,7 +9,6 @@ from flagmann.linalg import (
     _rref_bases,
     mat_mul_rows,
     null_space_rows,
-    rowspace_contains,
     rowspace_leq,
 )
 from flagmann.reps import _hom_system
@@ -116,7 +115,7 @@ def is_stable_rowwise(rep: Representation, subspaces) -> bool:
     target subspace, one row at a time."""
     p = rep.field.char
     return all(
-        rowspace_contains(subspaces[t], apply_rows(m, vec, p), p)
+        rowspace_leq((apply_rows(m, vec, p),), subspaces[t], p)
         for (s, t), m in zip(rep.quiver.arrow_indices, rep.maps)
         for vec in subspaces[s]
     )

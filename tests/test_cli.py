@@ -134,6 +134,27 @@ class TestPoincare:
         assert code == 0
         assert out.splitlines()[0] == "0"
 
+    @pytest.mark.parametrize(
+        "extra, want",
+        [
+            ([], "0\n"),
+            (["--verify"], "0\nverified at q = 2, 3\n"),
+            (["--json"], None),
+        ],
+    )
+    def test_empty_variety_bytes(self, a2, tmp_path, capsys, extra, want):
+        rep = tmp_path / "p.rep"
+        rep.write_text("summand: 1,1\n")
+        code, out, err = run_cli(
+            ["poincare", "--quiver", str(a2), "--rep", str(rep), "--flag", "1,0;1,1"] + extra,
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        if want is None:
+            assert json.loads(out)["coefficients"] == []
+        else:
+            assert out == want
+
     def test_d4_highest_root_line(self, d4, tmp_path, capsys):
         rep = tmp_path / "high.rep"
         rep.write_text("summand: 1,2,1,1\n")
@@ -256,6 +277,13 @@ class TestPoincare:
             ["poincare", "--quiver", str(quiver), "--rep", str(rep), "--flag", flag], capsys
         )
         assert (code, out, err) == (0, "1\n", "")
+        # a count just under the limit passes the guard, and the frames above
+        # the recursion tip it over: the library reports that as a budget too
+        n = sys.getrecursionlimit() - 1
+        rep.write_text(f"summand: 1 x {n}\n")
+        assert run_cli(
+            ["poincare", "--quiver", str(quiver), "--rep", str(rep), "--flag", str(n)], capsys
+        ) == (4, "", "budget exceeded: recursion deeper than the interpreter allows\n")
 
     def test_non_utf8_rep_exits_2(self, a2, tmp_path, capsys):
         rep = tmp_path / "bad.rep"

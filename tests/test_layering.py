@@ -1,10 +1,10 @@
 """Layering: every module of the package imports at module level only, so
 the import graph is the one the module headers show, exact rational
 arithmetic has one owner, `linalg`, and the oracle imports nothing from the
-recursion it checks; no nested function calls itself; the
-oracle's interval tuples have one owner; every name the benchmark's tracer
-wraps or reads still exists; and the package's public names are the pinned
-ones, each with a caller outside the tests."""
+recursion it checks; no nested function calls itself, and the functions
+that do are pinned; the oracle's interval tuples have one owner; every name
+the benchmark's tracer wraps or reads still exists; and the package's
+public names are the pinned ones, each with a caller outside the tests."""
 
 import ast
 import importlib.util
@@ -55,6 +55,52 @@ def test_no_nested_function_refers_to_itself():
     modules = sorted(SRC.glob("*.py"))
     found = set().union(*map(self_referencing_nested_functions, modules))
     assert not found, f"self-referencing nested functions: {sorted(found)}"
+
+
+def self_calling_functions(path: Path) -> set[str]:
+    """Every function that calls itself by name, as `module.Class.name`; a
+    method calls itself through `self`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    stack = [(tree, (path.stem,), False)]
+    while stack:
+        node, scope, in_class = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                f = call.func if isinstance(call, ast.Call) else None
+                if in_class:
+                    hit = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    hit = hit and (f.value.id, f.attr) == ("self", node.name)
+                else:
+                    hit = isinstance(f, ast.Name) and f.id == node.name
+                if hit:
+                    found.add(".".join(scope + (node.name,)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        stack.extend(
+            (child, scope, isinstance(node, ast.ClassDef)) for child in ast.iter_child_nodes(node)
+        )
+    return found
+
+
+def test_the_recursions_are_pinned(tmp_path):
+    # the first three take a frame per summand, per step difference and per
+    # step, which is why `cli.main` still maps RecursionError to exit 4;
+    # `indecomposable_for_root` calls itself once, from F_p to QQ
+    found = set().union(*map(self_calling_functions, SRC.glob("*.py")))
+    assert found == {
+        "counting._Counter.count",
+        "poincare.PoincareEngine._poincare_seq",
+        "quiver._chains",
+        "reps.indecomposable_for_root",
+    }
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "def f(n):\n    return f(n - 1) if n else 0\n\n"
+        "class C:\n    def g(self):\n        return self.g()\n\n"
+        "    def h(self, other):\n        return self.g() + other.h(self)\n"
+    )
+    assert self_calling_functions(planted) == {"planted.f", "planted.C.g"}
 
 
 def imported_modules(path: Path) -> set[str]:

@@ -18,11 +18,9 @@ from flagmann.linalg import (
     preimage_rowspace,
     quotient_map_rows,
     rank_rows,
-    rowspace_contains,
     rowspace_leq,
     rref_rows,
     subspaces_between,
-    sum_rowspaces,
 )
 
 from helpers import apply_rows, zeros
@@ -164,7 +162,7 @@ class TestRowspaceToolkit:
         # planes through a line in F_3^3: [2 choose 1]_3 = 4
         assert len(planes) == 4
         for pl in planes:
-            assert rowspace_contains(pl, (1, 0, 0), p)
+            assert rowspace_leq(((1, 0, 0),), pl, p)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_subspaces_between_yields_rref(self, p):
@@ -221,11 +219,49 @@ class TestRowspaceToolkit:
             assert image_rowspace(m, basis, p) == want
         assert len(kinds) == 4
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 0])
+    def test_rowspace_leq_matches_rank(self, p):
+        # seeded pairs, small often a combination of big's rows: containment
+        # holds exactly when adding small's rows keeps big's rank
+        rng = random.Random(p)
+
+        def rows(count, n):
+            if p:
+                return tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(count))
+            return tuple(
+                tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)) for _ in range(count)
+            )
+
+        kinds = set()
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            if rng.random() < 0.2:
+                big = identity_rows(n, p)
+            else:
+                big = rref_rows(rows(rng.randint(0, n), n), p)[0]
+            small = rows(rng.randint(0, 3), n)
+            if big and rng.random() < 0.5:
+                small = mat_mul_rows(rows(len(small), len(big)), big, p)
+            if small and rng.random() < 0.3:
+                small += zeros(PrimeField(p) if p else QQ, 1, n)
+            got = rowspace_leq(small, big, p)
+            assert got == (len(rref_rows(big + small, p)[0]) == len(big))
+            kinds.add(got)
+            if not small:
+                kinds.add("empty small")
+            if not big:
+                kinds.add("empty big")
+            if len(big) == n:
+                kinds.add("whole big")
+            if any(not any(row) for row in small):
+                kinds.add("zero row")
+        assert kinds == {True, False, "empty small", "empty big", "whole big", "zero row"}
+
     def test_sum_and_intersection(self):
         p = 3
         a = ((1, 0, 0),)
         b = ((0, 1, 0),)
-        assert len(sum_rowspaces(a, b, p)) == 2
+        assert len(rref_rows(a + b, p)[0]) == 2
         assert intersect_rowspaces(a, b, 3, p) == ()
         c = ((1, 0, 0), (0, 1, 0))
         assert intersect_rowspaces(c, a, 3, p) == a

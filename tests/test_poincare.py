@@ -4,6 +4,7 @@ and oracle equivalence of the full recursion on small sweeps."""
 import hashlib
 import importlib
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -387,6 +388,23 @@ class TestPoincare:
         ms = RootMultiset(quiver_a(2, [1]), (((1, 1), 1),))
         with pytest.raises(InputError, match="^multiset belongs to a different quiver$"):
             engine_for(A2).poincare(ms, FlagType(((1, 1),)))
+
+    def test_deep_summand_recursion_is_a_budget_error(self):
+        # a count just under the limit passes the up-front guard; the frames
+        # above the recursion tip it over, and that is a budget error too
+        n = sys.getrecursionlimit() - 1
+        ms = RootMultiset(ONE, (((1,), n),))
+        with pytest.raises(
+            BudgetExceededError, match="^recursion deeper than the interpreter allows$"
+        ):
+            PoincareEngine(ONE).poincare(ms, FlagType(((n,),)))
+
+    def test_non_dynkin_is_unsupported(self):
+        kronecker = Quiver(("a", "b"), (("a", "b"), ("a", "b")))
+        with pytest.raises(
+            UnsupportedQuiverError, match="^the recursion needs a Dynkin quiver$"
+        ):
+            engine_for(kronecker)
 
     def test_oracle_equivalence_small(self):
         # a rank <= 4 cross-section of the big acceptance sweep, at q = 5 too
