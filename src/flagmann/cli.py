@@ -304,12 +304,6 @@ def main(argv=None) -> None:
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         code = 4
-    except RecursionError:
-        # `_Counter.count` takes a frame per nonzero step difference and
-        # `quiver._chains` one per step of `check-odd --d-max`; the summand
-        # recursion reports its own depth as a BudgetExceededError
-        sys.stderr.write("budget exceeded: recursion deeper than the interpreter allows\n")
-        code = 4
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         code = 2

@@ -10,22 +10,22 @@ keeps every search space as small as possible and makes memoization
 effective.  Its last step is counted in closed form: once every vertex but
 the last one of the walk is fixed, the completions are the subspaces
 between two fixed ones at that vertex, a Gaussian binomial in number; every
-earlier step still walks each of its points.  A first step is walked once
-per representation: its exact quotients are tallied with multiplicity, and
-each distinct one is counted once per tail of the flag.  The count memo keys
-each flag variety once: `count_flags` drops the zero step differences, which
-zero and repeated steps give and which do not change the variety, while the
-enumeration keeps every step, since it hands out points.
+earlier step still walks each of its points.  The steps before the last
+two are tallied level by level: each distinct exact quotient a level reaches
+is walked once, with the number of flag beginnings giving it.  The count
+memo keys each flag variety once: `count_flags` drops the zero step
+differences, which zero and repeated steps give and which do not change the
+variety, while the enumeration keeps every step, since it hands out points.
 
 One counter per quiver and prime owns the tables: the count memo, the
-quotient table of each first step, and the tuple of k-dimensional subspaces
+quotient table of each step walked, and the tuple of k-dimensional subspaces
 between two bounds for each interval the walk meets, unbounded ones
 included, which is listed once and then iterated.  It is the only place a
 listed subspace is kept.  The tables share one bound, `_MEMO_BOUND` entries
 (a tuple counts its length), checked wherever an entry is added, and are
-cleared together with the whole-space bases and the vertex orders; an
-interval with more points than the bound is streamed from
-`subspaces_between`, one point at a time, and never stored.
+cleared together with the vertex orders; an interval with more points than
+the bound is streamed from `subspaces_between`, one point at a time, and
+never stored.
 
 Everything here works over PrimeField representations only.
 """
@@ -70,7 +70,7 @@ def candidate_estimate(rep: Representation, flag_type: FlagType) -> int:
 
 class _Counter:
     """Per-(quiver, prime) enumeration engine: a shared count memo, quotient
-    tables and interval tuples under one bound, and the whole-space bases."""
+    tables and interval tuples under one bound, and the vertex orders."""
 
     def __init__(self, quiver: Quiver, p: int):
         self.p = p
@@ -89,19 +89,17 @@ class _Counter:
         self.tables: dict = {}
         self.spans: dict = {}
         self.span_entries = 0
-        self.wholes: dict = {}
         self.orders: dict = {}
 
     def _make_room(self, extra: int) -> None:
-        """Clear all five tables (the memo, the quotient tables, the interval
-        tuples, the whole-space bases and the vertex orders) when `extra`
-        more entries would pass the bound."""
+        """Clear all four tables (the memo, the quotient tables, the interval
+        tuples and the vertex orders) when `extra` more entries would pass
+        the bound."""
         if len(self.memo) + len(self.tables) + self.span_entries + extra > _MEMO_BOUND:
             self.memo.clear()
             self.tables.clear()
             self.spans.clear()
             self.span_entries = 0
-            self.wholes.clear()
             self.orders.clear()
 
     # -- vertex ordering -------------------------------------------------
@@ -171,12 +169,9 @@ class _Counter:
         valid until the next yield.  The quiver needs at least one vertex.
         """
         p = self.p
-        uppers = self.wholes.get(dims)
-        if uppers is None:
-            uppers = self.wholes[dims] = tuple(identity_rows(d, p) for d in dims)
         lowers = list(containing) if containing is not None else [()] * self.n
         gap = [
-            gaussian_binomial(len(uppers[i]) - len(lowers[i]), target[i] - len(lowers[i]), p)
+            gaussian_binomial(dims[i] - len(lowers[i]), target[i] - len(lowers[i]), p)
             for i in range(self.n)
         ]
         order = self._vertex_order(gap)
@@ -194,7 +189,7 @@ class _Counter:
                     if img:
                         low = rref_rows(low + img, p)[0] if low else img
             if len(low) <= target[i]:
-                up = uppers[i]
+                up = identity_rows(dims[i], p)
                 for a, t in self.out_arrows[i]:
                     if chosen[t] is not None:
                         pre = preimage_rowspace(maps[a], chosen[t], dims[i], p)
@@ -241,10 +236,10 @@ class _Counter:
     # -- counting ----------------------------------------------------------
 
     def count(self, dims: tuple[int, ...], maps: tuple, diffs: tuple) -> int:
-        """Flags with step differences `diffs`.  The last step is a Gaussian
-        binomial per interval: it only counts the subspaces between two fixed
-        ones, so no quotient is built for it.  With no vertices there is one
-        flag and nothing to walk."""
+        """Flags with step differences `diffs`.  The steps before the last two
+        are tallied level by level, so this calls itself only for those two.
+        The last step is a Gaussian binomial per interval, so no quotient is
+        built for it.  With no vertices there is one flag and nothing to walk."""
         if len(diffs) <= 1 or not self.n:
             return 1
         key = (dims, maps, diffs)
@@ -252,14 +247,22 @@ class _Counter:
         if hit is not None:
             return hit
         self._make_room(0)
-        k = diffs[0]
         total = 0
         if len(diffs) == 2:
+            k = diffs[0]
             for _, i, low, up in self.intervals(dims, maps, k):
                 total += gaussian_binomial(len(up) - len(low), k[i] - len(low), self.p)
         else:
-            for (qdims, qmaps), mult in self.quotients(dims, maps, k).items():
-                total += mult * self.count(qdims, qmaps, diffs[1:])
+            # each quotient a level reaches, with the flag beginnings giving it
+            level = self.quotients(dims, maps, diffs[0])
+            for k in diffs[1:-2]:
+                nxt: dict = {}
+                for (qdims, qmaps), mult in level.items():
+                    for quot, m in self.quotients(qdims, qmaps, k).items():
+                        nxt[quot] = nxt.get(quot, 0) + mult * m
+                level = nxt
+            for (qdims, qmaps), mult in level.items():
+                total += mult * self.count(qdims, qmaps, diffs[-2:])
         self.memo[key] = total
         return total
 
@@ -274,6 +277,7 @@ class _Counter:
             for sub in self.subreps(dims, maps, k):
                 quot = quotient_maps(self.arrows, dims, maps, sub, self.p)
                 table[quot] = table.get(quot, 0) + 1
+            self._make_room(1)
             self.tables[key] = table
         return table
 

@@ -129,21 +129,18 @@ def flag_types(weight: DimVector, d_max: int) -> Iterator[FlagType]:
     """Every flag type ending at `weight` with 1..d_max steps.
 
     Ordered by the number of steps d, then lexicographically in the steps.
+    The chains below `weight` grow a step at a time, one level held at once.
     """
     weight = tuple(weight)
-    for d in range(1, d_max + 1):
-        for lower in _chains(d - 1, (0,) * len(weight), weight):
+    zero, tops = (0,) * len(weight), [w + 1 for w in weight]
+    chains: list[tuple[DimVector, ...]] = [()]
+    for d in range(d_max):
+        if d:  # each chain takes one more step, from its last up to `weight`
+            chains = [
+                c + (s,) for c in chains for s in product(*map(range, c[-1] if c else zero, tops))
+            ]
+        for lower in chains:
             yield FlagType(lower + (weight,))
-
-
-def _chains(r: int, prev: DimVector, weight: DimVector) -> Iterator[tuple[DimVector, ...]]:
-    """Monotone chains of r steps between prev and weight, lexicographically."""
-    if r == 0:
-        yield ()
-        return
-    for step in product(*(range(p, w + 1) for p, w in zip(prev, weight))):
-        for rest in _chains(r - 1, step, weight):
-            yield (step,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,17 @@ def brute_force_flags(rep: Representation, flag_type: FlagType) -> list:
     ]
 
 
+def chains(r: int, prev, weight):
+    """Monotone chains of r steps between prev and weight, lexicographically,
+    one frame per step: the reference for the order of `flag_types`."""
+    if r == 0:
+        yield ()
+        return
+    for step in product(*(range(p, w + 1) for p, w in zip(prev, weight))):
+        for rest in chains(r - 1, step, weight):
+            yield (step,) + rest
+
+
 def format_quiver(quiver: Quiver) -> str:
     """The quiver in the text format `parse_quiver` reads."""
     lines = ["vertices: " + " ".join(quiver.vertices)]

@@ -271,6 +271,116 @@ class TestCountFlags:
             count_flags(one_vertex_rep(2, F2), FlagType(((1,), (3,))))
 
 
+def long_flag_instance(rng, quiver, field):
+    """2-3 seeded roots of `quiver`, at most 2 at a vertex, and a flag type
+    of 4 or 5 nonzero differences: the unit vectors that make up their total
+    dimension, shuffled and cut into consecutive pieces.  Half the time the
+    units of a vertex come after those of every vertex its arrows reach, as
+    in a subrepresentation, so that fewer varieties are empty."""
+    roots = positive_roots(quiver)
+    while True:
+        ms = RootMultiset.from_roots(quiver, tuple(rng.sample(roots, rng.randint(2, 3))))
+        d = rng.choice((4, 5))
+        if sum(ms.total) >= d and max(ms.total) <= 2:
+            break
+    units = [i for i, x in enumerate(ms.total) for _ in range(x)]
+    rng.shuffle(units)
+    if rng.random() < 0.5:
+        reach = [{i} for i in range(quiver.n)]
+        for _ in range(quiver.n):
+            for s, t in quiver.arrow_indices:
+                reach[s] |= reach[t]
+        units.sort(key=lambda i: len(reach[i]))
+    step, steps = [0] * quiver.n, []
+    cuts = sorted(rng.sample(range(1, len(units)), d - 1)) + [len(units)]
+    for lo, hi in zip([0] + cuts, cuts):
+        for i in units[lo:hi]:
+            step[i] += 1
+        steps.append(tuple(step))
+    return build_rep(ms, field), FlagType(tuple(steps))
+
+
+class TestLongFlags:
+    """Flags of four and five nonzero differences, which no acceptance
+    sweep reaches: the count tallies all but the last two a level at a time."""
+
+    CASES = [
+        (quiver, field)
+        for base in (quiver_a(3), quiver_d(4))
+        for quiver in all_orientations(base)
+        for field in (F2, F3)
+    ]
+
+    def sweep(self, seed):
+        rng = random.Random(seed)
+        return [long_flag_instance(rng, quiver, field) for quiver, field in self.CASES * 3]
+
+    def test_counts_match_enumeration(self, monkeypatch):
+        count = counting._Counter.count
+        depth, deepest = [0], [0]
+
+        def watched(ctr, *args):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            try:
+                return count(ctr, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(counting, "_counters", {})
+        monkeypatch.setattr(counting._Counter, "count", watched)
+        sweep = self.sweep(2404)
+        nonzero = 0
+        for rep, u in sweep:
+            want = sum(1 for _ in enumerate_flags(rep, u))
+            assert count_flags(rep, u) == want, u.steps
+            nonzero += want > 0
+        assert {u.d for _, u in sweep} == {4, 5} and nonzero >= 30
+        # a call for the last two differences under each counted flag
+        assert deepest[0] == 2
+
+    def test_tables_clear_in_the_middle_of_a_level(self, monkeypatch):
+        # under a bound of 4 the walk of a quotient a level reached clears the
+        # tables the level before it filled; the tally it carries still holds,
+        # and a level's tables never pass the bound
+        sweep = self.sweep(1909)
+        monkeypatch.setattr(counting, "_counters", {})
+        monkeypatch.setattr(counting, "_MEMO_BOUND", 4)
+        quotients, make_room = counting._Counter.quotients, counting._Counter._make_room
+        walked, clears, stored = [None], [], []
+
+        def held(ctr):
+            return len(ctr.memo) + len(ctr.tables) + ctr.span_entries
+
+        def walk(ctr, dims, *args):
+            walked[0] = dims
+            try:
+                return quotients(ctr, dims, *args)
+            finally:
+                walked[0] = None
+                stored.append(held(ctr))
+
+        def watched(ctr, extra):
+            before = held(ctr)
+            make_room(ctr, extra)
+            if walked[0] not in (None, rep.dims) and before and not held(ctr):
+                clears.append(before)
+
+        monkeypatch.setattr(counting._Counter, "quotients", walk)
+        monkeypatch.setattr(counting._Counter, "_make_room", watched)
+        for rep, u in sweep:
+            assert count_flags(rep, u) == sum(1 for _ in enumerate_flags(rep, u)), u.steps
+        assert len(clears) >= 40 and max(stored) <= 4
+
+    def test_a_long_path_counts_in_a_shallow_stack(self, shallow_stack):
+        # A_300 with every map the identity of F_2: the one flag of 300
+        # steps fills the vertices from the sink
+        n = 300
+        rep = Representation(quiver_a(n), F2, (1,) * n, (((1,),),) * (n - 1))
+        steps = tuple(tuple(int(i >= n - j) for i in range(n)) for j in range(1, n + 1))
+        assert count_flags(rep, FlagType(steps)) == 1
+
+
 def random_interval(rng, n, p):
     """Seeded RREF bases low <= up inside F_p^n and a dimension between them."""
     ku = rng.randint(0, n)
@@ -326,7 +436,7 @@ class TestIntervalTuples:
         assert ctr.orders
         second = ctr.between((e2,), (e1, e2, e3), 2)
         assert ctr.spans == {((e2,), (e1, e2, e3), 2): second} and ctr.span_entries == 3
-        assert not ctr.memo and not ctr.wholes and not ctr.orders
+        assert not ctr.memo and not ctr.orders
 
     def test_streamed_interval_holds_no_listing(self, monkeypatch):
         # the 200,787 planes of F_2^8, over a bound of 1,000: the stream

@@ -1,8 +1,9 @@
 """Layering: every module of the package imports at module level only, so
 the import graph is the one the module headers show, exact rational
 arithmetic has one owner, `linalg`, and the oracle imports nothing from the
-recursion it checks; no nested function calls itself, and the functions
-that do are pinned; the oracle's interval tuples have one owner; every name
+recursion it checks; no nested function calls itself, the functions that
+do are pinned, and only the summand recursion's engine names
+RecursionError; the oracle's interval tuples have one owner; every name
 the benchmark's tracer wraps or reads still exists; and the package's
 public names are the pinned ones, each with a caller outside the tests."""
 
@@ -84,14 +85,13 @@ def self_calling_functions(path: Path) -> set[str]:
 
 
 def test_the_recursions_are_pinned(tmp_path):
-    # the first three take a frame per summand, per step difference and per
-    # step, which is why `cli.main` still maps RecursionError to exit 4;
-    # `indecomposable_for_root` calls itself once, from F_p to QQ
+    # `_poincare_seq` takes a frame per summand, and is the only one that
+    # grows with the input; `_Counter.count` calls itself once, for its last
+    # two differences, and `indecomposable_for_root` once, from F_p to QQ
     found = set().union(*map(self_calling_functions, SRC.glob("*.py")))
     assert found == {
         "counting._Counter.count",
         "poincare.PoincareEngine._poincare_seq",
-        "quiver._chains",
         "reps.indecomposable_for_root",
     }
     planted = tmp_path / "planted.py"
@@ -101,6 +101,14 @@ def test_the_recursions_are_pinned(tmp_path):
         "    def h(self, other):\n        return self.g() + other.h(self)\n"
     )
     assert self_calling_functions(planted) == {"planted.f", "planted.C.g"}
+
+
+def test_only_the_engine_names_recursion_error():
+    # the summand recursion owns the depth policy: `PoincareEngine.poincare`
+    # refuses too many summands and turns an overflow into a budget error,
+    # so no other module catches or raises RecursionError
+    users = sorted(p.name for p in SRC.glob("*.py") if "RecursionError" in names_loaded(p))
+    assert users == ["poincare.py"]
 
 
 def imported_modules(path: Path) -> set[str]:

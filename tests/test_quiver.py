@@ -1,7 +1,8 @@
 """Quiver combinatorics: Euler form, flag types, Dynkin classification and
 positive roots checked against an independent quadratic-form oracle."""
 
-from collections import Counter
+import random
+from collections import Counter, deque
 from itertools import product
 from math import comb, prod
 
@@ -22,7 +23,7 @@ from flagmann.errors import InputError, UnsupportedQuiverError
 from flagmann.cli import main
 from flagmann.quiver import parse_dim_vector
 
-from helpers import all_orientations, format_quiver, quiver_a, quiver_d, quiver_e
+from helpers import all_orientations, chains, format_quiver, quiver_a, quiver_d, quiver_e
 
 A2 = quiver_a(2)
 
@@ -150,6 +151,25 @@ class TestFlagTypes:
 
     def test_no_steps_no_types(self):
         assert list(flag_types((1, 1), 0)) == []
+
+    def test_order_matches_the_recursive_reference(self):
+        # the order feeds the bytes of `check-odd` and the E6 golden digests
+        rng = random.Random(24)
+        weights = [()] + [
+            tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3))) for _ in range(16)
+        ]
+        assert sum(0 in w for w in weights) >= 4
+        for weight in weights:
+            for d_max in range(5):
+                assert list(flag_types(weight, d_max)) == [
+                    FlagType(lower + (weight,))
+                    for d in range(1, d_max + 1)
+                    for lower in chains(d - 1, (0,) * len(weight), weight)
+                ]
+
+    def test_long_chains_take_no_frame_per_step(self, shallow_stack):
+        last = deque(flag_types((0, 0), 300), maxlen=1).pop()
+        assert last.steps == ((0, 0),) * 300
 
 
 class TestClassification:
