@@ -37,10 +37,6 @@ from .quiver import (
 from .reps import build_rep, direct_sum, load_rep_spec
 
 
-def _print(line: str) -> None:
-    sys.stdout.write(line + "\n")
-
-
 def _poly_lines(poly: PoincarePolynomial) -> list[str]:
     lines = [poly.format_coefficients()]
     m, rest = poly.factor_binomial()
@@ -59,7 +55,7 @@ def cmd_roots(args) -> int:
         raise InputError(f"quiver in {args.quiver} is not Dynkin")
     roots = positive_roots(quiver)
     if args.json:
-        _print(
+        print(
             json.dumps(
                 {
                     "quiver": str(args.quiver),
@@ -71,10 +67,10 @@ def cmd_roots(args) -> int:
             )
         )
     else:
-        _print(f"type: {cls.label()}")
-        _print(f"roots: {len(roots)}")
+        print(f"type: {cls.label()}")
+        print(f"roots: {len(roots)}")
         for r in roots:
-            _print(",".join(str(x) for x in r))
+            print(",".join(str(x) for x in r))
     return 0
 
 
@@ -94,7 +90,7 @@ def cmd_poincare(args) -> int:
                 )
             verified.append(q)
     if args.json:
-        _print(
+        print(
             json.dumps(
                 {
                     "quiver": str(args.quiver),
@@ -108,9 +104,9 @@ def cmd_poincare(args) -> int:
         )
     else:
         for line in _poly_lines(poly):
-            _print(line)
+            print(line)
         if verified:
-            _print(f"verified at q = {', '.join(str(q) for q in verified)}")
+            print(f"verified at q = {', '.join(str(q) for q in verified)}")
     return 0
 
 
@@ -163,7 +159,7 @@ def cmd_check_odd(args) -> int:
     failures = sum(1 for row in rows if row["status"] == "fail")
     over_budget = sum(1 for row in rows if row["status"] == "budget")
     if args.json:
-        _print(
+        print(
             json.dumps(
                 {
                     "quiver": str(args.quiver),
@@ -179,16 +175,12 @@ def cmd_check_odd(args) -> int:
         for row in rows:
             root = ",".join(str(x) for x in row["root"])
             flag = ";".join(",".join(str(x) for x in s) for s in row["flag_type"])
-            coeffs = (
-                " ".join(str(c) for c in row["coefficients"])
-                if row["coefficients"]
-                else "0"
-            )
+            coeffs = PoincarePolynomial(tuple(row["coefficients"] or ())).format_coefficients()
             line = f"{row['status']:6s} root={root} flag={flag} poly={coeffs}"
             if row["detail"]:
                 line += f"  ({row['detail']})"
-            _print(line)
-        _print(
+            print(line)
+        print(
             f"checked {len(rows)} instances: {failures} failures, "
             f"{over_budget} over budget"
         )
@@ -220,18 +212,18 @@ def cmd_verify_bundle(args) -> int:
         if report.expected_rank >= 0
         else 0
     )
-    _print(f"rank: {report.expected_rank}")
-    _print(f"flags: {report.sub_flag_count} x {report.quot_flag_count} over F_{report.prime}")
-    _print(
+    print(f"rank: {report.expected_rank}")
+    print(f"flags: {report.sub_flag_count} x {report.quot_flag_count} over F_{report.prime}")
+    print(
         "fiber dims: "
         + (" ".join(str(x) for x in report.fiber_dims) if report.fiber_dims else "(none)")
     )
-    _print(f"stratum count: {stratum}, bundle formula: {expected}")
+    print(f"stratum count: {stratum}, bundle formula: {expected}")
     if not report.ok or stratum != expected:
         for dev in report.deviations:
-            _print("deviation: " + dev)
+            print("deviation: " + dev)
         raise VerificationError("bundle verification failed")
-    _print("ok")
+    print("ok")
     return 0
 
 

@@ -295,7 +295,8 @@ def subspaces_between(lower: Rows, upper: Rows, k: int, p: int) -> Iterator[Rows
 
     `lower` must be contained in `upper`; both are RREF bases in a common
     ambient space.  Enumerated via the quotient upper/lower, so the cost only
-    depends on the gap dimensions.
+    depends on the gap dimensions.  The one shortcut: an unbounded interval
+    yields `_rref_bases` verbatim, sparing the lift's reduction per basis.
     """
     kl, ku = len(lower), len(upper)
     if k < kl or k > ku:
@@ -303,16 +304,8 @@ def subspaces_between(lower: Rows, upper: Rows, k: int, p: int) -> Iterator[Rows
     if k == kl:
         yield lower
         return
-    if not lower:
-        if ku == len(upper[0]):
-            # no bounds at all: the full enumeration applies verbatim
-            yield from _rref_bases(ku, k, p)
-            return
-        # with no lower bound the lift is t, and t * upper is already RREF:
-        # row r leads with the pivot 1 of upper's row c (c the pivot column of
-        # t's row r), and every other row of t is zero at column c
-        for t in _rref_bases(ku, k, p):
-            yield mat_mul_rows(t, upper, p)
+    if not lower and ku == len(upper[0]):
+        yield from _rref_bases(ku, k, p)
         return
     upivots = tuple(next(i for i, x in enumerate(row) if x) for row in upper)
     # coordinates of lower inside upper (read off pivot columns of the RREF)

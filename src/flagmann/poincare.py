@@ -70,11 +70,6 @@ class PoincarePolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coefficients) - 1
-
     def evaluate(self, x: int) -> int:
         out = 0
         for c in reversed(self.coefficients):

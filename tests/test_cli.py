@@ -396,6 +396,17 @@ class TestCheckOdd:
         for row in data["instances"]:
             assert row["status"] == "fail" and row["coefficients"] is None
             assert row["detail"].startswith("counted 0 at q = 2 but 1 at q = 3")
+        # a text row prints its missing coefficients as the zero polynomial
+        code, out, _ = run_cli(
+            ["check-odd", "--quiver", str(a2), "--max-dim", "2", "--d-max", "2"], capsys
+        )
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[0] == (
+            "fail   root=0,1 flag=0,1 poly=0  (counted 0 at q = 2 but 1 at q = 3 "
+            "for summands (((0, 1), 1),), flag ((0, 1),))"
+        )
+        assert lines[-1] == "checked 11 instances: 11 failures, 0 over budget"
 
     def test_parallel_jobs_match_serial(self, a2, capsys):
         args = ["check-odd", "--quiver", str(a2), "--max-dim", "2", "--d-max", "2", "--json"]
@@ -707,6 +718,10 @@ class TestExitPaths:
         lines = out.splitlines()
         budget = [line for line in lines if line.startswith("budget ")]
         assert budget and len(budget) < len(lines) - 1
+        assert budget[0] == (
+            "budget root=1,2,1,1 flag=0,1,0,0;1,2,1,1 poly=0  (base case out of desk range "
+            "for summands (((1, 2, 1, 1), 1),): estimated 3 candidate tuples exceeds budget 2)"
+        )
         for line in budget:
             assert line.endswith("exceeds budget 2)")
             assert "  (base case out of desk range for summands " in line

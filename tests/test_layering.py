@@ -3,9 +3,11 @@ the import graph is the one the module headers show, exact rational
 arithmetic has one owner, `linalg`, and the oracle imports nothing from the
 recursion it checks; no nested function calls itself, the functions that
 do are pinned, and only the summand recursion's engine names
-RecursionError; the oracle's interval tuples have one owner; every name
-the benchmark's tracer wraps or reads still exists; and the package's
-public names are the pinned ones, each with a caller outside the tests."""
+RecursionError; the oracle's interval tuples have one owner, and a
+bounded interval is listed one way; the CLI writes no line through
+`sys.stdout`; every name the benchmark's tracer wraps or reads still
+exists; and the package's public names are the pinned ones, each with a
+caller outside the tests."""
 
 import ast
 import importlib.util
@@ -175,6 +177,37 @@ def test_only_the_counter_lists_intervals():
     }
     assert "subspaces_between" in imported and "_rref_bases" not in imported
     assert "_rref_bases" not in names_loaded(path)
+
+
+def calls_in(path: Path, function: str, callee: str) -> list[int]:
+    """The lines where a module-level function calls `callee` by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (func,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return [
+        n.lineno
+        for n in ast.walk(func)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == callee
+    ]
+
+
+def test_one_listing_path_per_interval():
+    # the unbounded interval yields the RREF bases verbatim; every bounded
+    # one, with or without a lower bound, goes through the quotient lift
+    assert len(calls_in(SRC / "linalg.py", "subspaces_between", "_rref_bases")) == 2
+
+
+def test_the_cli_prints_through_print():
+    # one way to write a line: no wrapper around sys.stdout
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and n.attr == "stdout"
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "sys"
+    ]
+    assert not found, found
 
 
 def load_tracer():

@@ -147,6 +147,19 @@ class TestSubspaceEnumeration:
         # two fresh runs give the same bases in the same order
         assert tuple(_rref_bases(4, 2, 3)) == tuple(_rref_bases(4, 2, 3))
 
+    def test_order_is_pinned(self):
+        # pivot sets in lexicographic order; within one, the first row and
+        # its first free column vary fastest
+        assert list(_rref_bases(3, 1, 2)) == [
+            ((1, 0, 0),), ((1, 1, 0),), ((1, 0, 1),), ((1, 1, 1),),
+            ((0, 1, 0),), ((0, 1, 1),), ((0, 0, 1),),
+        ]
+        assert list(_rref_bases(3, 2, 2)) == [
+            ((1, 0, 0), (0, 1, 0)), ((1, 0, 1), (0, 1, 0)), ((1, 0, 0), (0, 1, 1)),
+            ((1, 0, 1), (0, 1, 1)), ((1, 0, 0), (0, 0, 1)), ((1, 1, 0), (0, 0, 1)),
+            ((0, 1, 0), (0, 0, 1)),
+        ]
+
     def test_bases_are_rref(self):
         for basis in _rref_bases(4, 2, 2):
             red, _ = rref_rows(basis, 2)
@@ -183,6 +196,52 @@ class TestRowspaceToolkit:
                 for basis in got:
                     assert rref_rows(basis, p)[0] == basis
                     assert rowspace_leq(lower, basis, p) and rowspace_leq(basis, upper, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_listing_order_is_pinned(self, p):
+        # enumerate_flags' order, sample_flags' picks and the bundle golden
+        # digest follow this sequence: the unbounded interval lists the
+        # RREF bases verbatim, a bounded one lifts each basis of the
+        # quotient upper/lower into upper and adds lower
+        def lift(lower, upper, k):
+            # lower in upper's coordinates, read at upper's pivot columns;
+            # each basis of the quotient goes to the unit vectors at the
+            # columns where those coordinates have no pivot
+            ku = len(upper)
+            pivots = [next(c for c, x in enumerate(row) if x) for row in upper]
+            coords = rref_rows(tuple(tuple(row[c] for c in pivots) for row in lower), p)[0]
+            lead = {next(c for c, x in enumerate(row) if x) for row in coords}
+            section = tuple(identity_rows(ku, p)[c] for c in range(ku) if c not in lead)
+            return [
+                rref_rows(mat_mul_rows(mat_mul_rows(t, section, p), upper, p) + lower, p)[0]
+                for t in _rref_bases(len(section), k - len(lower), p)
+            ]
+
+        rng = random.Random(p)
+        shapes = set()
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            ku = rng.randint(1, n)
+            upper = rng.choice(tuple(_rref_bases(n, ku, p)))
+            kl = rng.choice([0, 0, rng.randint(0, ku)])
+            t = rng.choice(tuple(_rref_bases(ku, kl, p)))
+            lower = rref_rows(mat_mul_rows(t, upper, p), p)[0]
+            for k in range(-1, ku + 2):
+                got = list(subspaces_between(lower, upper, k, p))
+                if k < kl or k > ku:
+                    shape, want = "out of range", []
+                elif k == kl:
+                    shape, want = "k == dim lower", [lower]
+                elif not lower and ku == n:
+                    shape, want = "unbounded", list(_rref_bases(n, k, p))
+                elif not lower:
+                    shape = "no lower bound"
+                    want = [mat_mul_rows(s, upper, p) for s in _rref_bases(ku, k, p)]
+                else:
+                    shape, want = "general", lift(lower, upper, k)
+                assert got == want, (shape, lower, upper, k)
+                shapes.add(shape)
+        assert len(shapes) == 5
 
     def test_subspaces_between_trivial_gap(self):
         line = ((1, 2),)

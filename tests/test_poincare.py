@@ -54,7 +54,6 @@ class TestPolynomial:
     def test_canonical_form(self):
         assert PoincarePolynomial((1, 0, 0)).coefficients == (1,)
         assert PoincarePolynomial((0, 0)).is_zero
-        assert PoincarePolynomial.zero().degree == -1
 
     def test_arithmetic(self):
         # sums, products and shifts happen on coefficient tuples inside the
@@ -461,7 +460,7 @@ class TestPoincare:
             for q, rep in zip((2, 3), reps):
                 assert poly.evaluate(q) == count_flags(rep, u), (ms.quiver, ms.items, u.steps)
             if not poly.is_zero and engine_for(ms.quiver).multiset_is_rigid(ms):
-                assert poly.degree == rigid_dimension(ms.quiver, u)
+                assert len(poly.coefficients) - 1 == rigid_dimension(ms.quiver, u)
                 # smooth and paved by affines: palindromic, one 0-cell
                 assert poly.coefficients == poly.coefficients[::-1]
                 assert poly.coefficients[0] == 1
@@ -506,7 +505,7 @@ class TestPoincare:
             for u in flag_types(ms.total, 2):
                 poly = eng.poincare(ms, u)
                 if not poly.is_zero:
-                    assert poly.degree == rigid_dimension(quiver, u)
+                    assert len(poly.coefficients) - 1 == rigid_dimension(quiver, u)
 
     def test_e6_small_root(self):
         e6 = quiver_e(6)
