@@ -21,10 +21,8 @@ from .extended import (
     FiberReport,
     Rep0Representation,
     extend_quiver,
-    flag_to_subrep,
     hom_dim_rep0,
     phi,
-    quotient_by_flag,
     verify_fiber_rank,
 )
 from .linalg import (

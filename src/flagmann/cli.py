@@ -286,9 +286,12 @@ def main(argv=None) -> None:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a budget admits at least one candidate; `roots` takes none
-        if getattr(args, "budget", None) is not None and args.budget < 1:
-            raise InputError(f"--budget must be at least 1, got {args.budget}")
+        # a budget admits at least one candidate, and a campaign needs a
+        # worker, a dimension and a step; a command takes only its own options
+        for option in ("budget", "jobs", "max_dim", "d_max"):
+            value = getattr(args, option, None)
+            if value is not None and value < 1:
+                raise InputError(f"--{option.replace('_', '-')} must be at least 1, got {value}")
         code = args.func(args)
     except VerificationError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")

@@ -6,11 +6,12 @@ a flag in V becomes an honest subrepresentation of the layer-constant
 embedding of V, and where the fiber of a stratum over a pair of flags is a
 Hom space computable by exact linear algebra.  That computation is what this
 module provides, together with a sampling verifier for the bundle-rank
-formula.  A flag is the step tuple `enumerate_flags` yields; a conversion
-validates it once (`flag_subspaces`) and builds its sub and quotient from
-the embedding's row tuples.  The embedding itself is not checked, as each of
-its squares reads V_h * 1 = 1 * V_h; only the result is, as a representation
-whose layer squares must commute.
+formula.  A flag is the step tuple `enumerate_flags` yields, already
+canonical, arrow-stable and nested; the verifier builds its sub and quotient
+from the embedding's row tuples without checking the point again.  The
+embedding itself is not checked, as each of its squares reads
+V_h * 1 = 1 * V_h; only the result is, as a representation whose layer
+squares must commute.
 """
 
 from __future__ import annotations
@@ -21,16 +22,9 @@ from functools import lru_cache
 
 from .counting import count_flags, sample_flags
 from .errors import InputError
-from .linalg import PrimeField, identity_rows, mat_mul_rows, rowspace_leq
+from .linalg import PrimeField, identity_rows, mat_mul_rows
 from .quiver import FlagType, Quiver
-from .reps import (
-    Representation,
-    ext1_dim,
-    hom_dim,
-    quotient_maps,
-    sub_maps,
-    subrep_subspaces,
-)
+from .reps import Representation, ext1_dim, hom_dim, quotient_maps, sub_maps
 from .poincare import stratum_rank
 
 
@@ -124,40 +118,6 @@ def phi(v_rep: Representation, depth: int) -> Rep0Representation:
     return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
 
 
-def flag_subspaces(v_rep: Representation, point: tuple) -> tuple:
-    """The flag read as a subspace tuple over the extended quiver.
-
-    Validates each step's bases and arrow stability, then the inclusions; the
-    result indexes subspaces layer-major like the extended quiver's vertices.
-    """
-    if not point:
-        raise InputError("depth must be >= 1, got 0")
-    p = v_rep.field.char
-    canon = [subrep_subspaces(v_rep, step) for step in point]
-    for prev, cur in zip(canon, canon[1:]):
-        if not all(rowspace_leq(a, b, p) for a, b in zip(prev, cur)):
-            raise InputError("flag steps are not nested")
-    if tuple(len(b) for b in canon[-1]) != v_rep.dims:
-        raise InputError("top flag step is not the whole representation")
-    return tuple(basis for step in canon for basis in step)
-
-
-def flag_to_subrep(v_rep: Representation, point: tuple) -> Rep0Representation:
-    """The flag as a subrepresentation of the layer-constant embedding."""
-    ext, _, maps = _embedding(v_rep, len(point))
-    subs = flag_subspaces(v_rep, point)
-    dims, maps = sub_maps(ext.quiver.arrow_indices, maps, subs, v_rep.field.char)
-    return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
-
-
-def quotient_by_flag(v_rep: Representation, point: tuple) -> Rep0Representation:
-    """The quotient of the layer-constant embedding by the flag subrepresentation."""
-    ext, dims, maps = _embedding(v_rep, len(point))
-    subs = flag_subspaces(v_rep, point)
-    dims, maps = quotient_maps(ext.quiver.arrow_indices, dims, maps, subs, v_rep.field.char)
-    return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
-
-
 def hom_dim_rep0(w0: Rep0Representation, v0: Rep0Representation) -> int:
     """Morphisms commuting with all horizontal and vertical structure maps."""
     if w0.extended != v0.extended:
@@ -209,17 +169,25 @@ def verify_fiber_rank(
     rng = random.Random(seed)
     v_pool = sample_flags(v_rep, sub_flag, samples, rng, sub_count)
     w_pool = sample_flags(w_rep, quot_flag, samples, rng, quot_count)
+    ext, v_dims, v_maps = _embedding(v_rep, sub_flag.d)
+    _, _, w_maps = _embedding(w_rep, sub_flag.d)
+    arrows, p = ext.quiver.arrow_indices, v_rep.field.p
+
+    def layered(dims, maps):
+        return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
+
     fiber_dims = []
     deviations = []
     for v_point, w_point in zip(v_pool, w_pool):
-        w_sub = flag_to_subrep(w_rep, w_point)
-        v_quot = quotient_by_flag(v_rep, v_point)
+        # a point from `enumerate_flags` needs no check; its sub and quotient do
+        w_sub = layered(*sub_maps(arrows, w_maps, sum(w_point, ()), p))
+        v_quot = layered(*quotient_maps(arrows, v_dims, v_maps, sum(v_point, ()), p))
         dim = hom_dim_rep0(w_sub, v_quot)
         fiber_dims.append(dim)
         if dim != expected:
-            v_dims, w_dims = (tuple(tuple(map(len, s)) for s in pt) for pt in (v_point, w_point))
+            v_steps, w_steps = (tuple(tuple(map(len, s)) for s in pt) for pt in (v_point, w_point))
             deviations.append(
-                f"fiber dimension {dim} != rank {expected} at flags {v_dims} / {w_dims}"
+                f"fiber dimension {dim} != rank {expected} at flags {v_steps} / {w_steps}"
             )
     return FiberReport(
         prime=v_rep.field.p,

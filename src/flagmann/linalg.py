@@ -310,8 +310,8 @@ def subspaces_between(lower: Rows, upper: Rows, k: int, p: int) -> Iterator[Rows
     upivots = tuple(next(i for i, x in enumerate(row) if x) for row in upper)
     # coordinates of lower inside upper (read off pivot columns of the RREF)
     lower_in_u = tuple(tuple(row[c] for c in upivots) for row in lower)
-    lred, _ = rref_rows(lower_in_u, p)
-    q, nonpivots = quotient_map_rows(lred, ku, p)
+    _, lpivots = rref_rows(lower_in_u, p)
+    nonpivots = tuple(c for c in range(ku) if c not in lpivots)
     for t in _rref_bases(ku - kl, k - kl, p):
         coords = []
         for row in t:

@@ -5,13 +5,15 @@ from fractions import Fraction
 from itertools import product
 
 from flagmann import FlagType, Quiver, Representation, RootMultiset, enumerate_flags, positive_roots
+from flagmann.errors import InputError
+from flagmann.extended import Rep0Representation, _embedding
 from flagmann.linalg import (
     _rref_bases,
     mat_mul_rows,
     null_space_rows,
     rowspace_leq,
 )
-from flagmann.reps import _hom_system
+from flagmann.reps import _hom_system, quotient_maps, sub_maps, subrep_subspaces
 
 
 def quiver_a(n: int, directions=None) -> Quiver:
@@ -208,3 +210,42 @@ def layer(r0, r: int) -> Representation:
 def vertical_map(r0, r: int, i: int):
     """The vertical arrow from vertex i of layer r to layer r + 1."""
     return r0.rep.maps[r0.extended.vertical_position(r, i)]
+
+
+def flag_subspaces(v_rep: Representation, point: tuple) -> tuple:
+    """The flag read as a subspace tuple over the extended quiver.
+
+    Validates each step's bases and arrow stability, then the inclusions; the
+    result indexes subspaces layer-major like the extended quiver's vertices.
+    The check a point from outside the program would need, kept as the
+    witness that every point `enumerate_flags` yields passes it.
+    """
+    if not point:
+        raise InputError("depth must be >= 1, got 0")
+    p = v_rep.field.char
+    canon = [subrep_subspaces(v_rep, step) for step in point]
+    for prev, cur in zip(canon, canon[1:]):
+        if not all(rowspace_leq(a, b, p) for a, b in zip(prev, cur)):
+            raise InputError("flag steps are not nested")
+    if tuple(len(b) for b in canon[-1]) != v_rep.dims:
+        raise InputError("top flag step is not the whole representation")
+    return tuple(basis for step in canon for basis in step)
+
+
+def flag_to_subrep(v_rep: Representation, point: tuple) -> Rep0Representation:
+    """The flag as a subrepresentation of the layer-constant embedding, the
+    point validated first: the reference for `verify_fiber_rank`'s sub side."""
+    ext, _, maps = _embedding(v_rep, len(point))
+    subs = flag_subspaces(v_rep, point)
+    dims, maps = sub_maps(ext.quiver.arrow_indices, maps, subs, v_rep.field.char)
+    return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
+
+
+def quotient_by_flag(v_rep: Representation, point: tuple) -> Rep0Representation:
+    """The quotient of the layer-constant embedding by the flag
+    subrepresentation, the point validated first: the reference for
+    `verify_fiber_rank`'s quotient side."""
+    ext, dims, maps = _embedding(v_rep, len(point))
+    subs = flag_subspaces(v_rep, point)
+    dims, maps = quotient_maps(ext.quiver.arrow_indices, dims, maps, subs, v_rep.field.char)
+    return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))

@@ -668,6 +668,55 @@ class TestVerifyBundle:
             "f80d8a87675c359be6bcd3f332040380086d74f3b36014ddf87332502ed521fd"
         )
 
+    @pytest.mark.parametrize(
+        "quiver_text, v_text, w_text, v_flag, w_flag, prime, code, digest",
+        [
+            (
+                A2_QUIVER, "summand: 1,1 x 2\n", "summand: 1,0 x 2\nsummand: 1,1\n",
+                "0,1;1,2;2,2", "1,0;2,1;3,1", "2", 0,
+                "241fad0821465706f93691e2ae6e42655dd08c5daa19e940b49bf46eb528e583",
+            ),
+            (
+                A2_QUIVER, "summand: 1,1 x 2\n", "summand: 1,0 x 2\nsummand: 1,1\n",
+                "1,1;1,2;2,2", "1,0;2,1;3,1", "3", 0,
+                "6bd892c130b4222797ce60f54df26512674561c80bb52acc2bbcb375eb193f37",
+            ),
+            (
+                D4_QUIVER, "summand: 1,1,1,1\nsummand: 0,1,0,0\n", "summand: 1,1,0,0\n",
+                "0,1,0,0;1,1,1,1;1,2,1,1", "0,0,0,0;1,0,0,0;1,1,0,0", "2", 0,
+                "0fc8b897d56b554edfa50a7b953f6cd3890c8cb7f8818179da578bd30bee9f9c",
+            ),
+            (
+                D4_QUIVER, "summand: 1,2,1,1\nsummand: 0,1,0,0\n", "summand: 1,1,0,0\nsummand: 0,1,0,0\n",
+                "0,1,0,0;1,2,0,1;1,3,1,1", "0,1,0,0;1,1,0,0;1,2,0,0", "3", 0,
+                "9e7f231daefb027f4caadb83c816f8c52e59e0a44be6b83342517ecdb9fec563",
+            ),
+        ],
+        ids=["a2-p2", "a2-p3", "d4-p2-empty", "d4-p3"],
+    )
+    def test_pinned_runs(
+        self, quiver_text, v_text, w_text, v_flag, w_flag, prime, code, digest, tmp_path, capsys
+    ):
+        # exit code and stdout sha256, recorded while every sampled flag
+        # point was still validated again before its conversion
+        paths = []
+        for name, text in (("q.qv", quiver_text), ("v.rep", v_text), ("w.rep", w_text)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(text)
+        args = [
+            "verify-bundle",
+            "--quiver", str(paths[0]),
+            "--v-rep", str(paths[1]),
+            "--w-rep", str(paths[2]),
+            "--v-flag", v_flag,
+            "--w-flag", w_flag,
+            "--samples", "6",
+            "--seed", "3",
+            "--prime", prime,
+        ]
+        got, out, _ = run_cli(args, capsys)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
     def test_budget_exits_4_before_any_output(self, a2, tmp_path, capsys):
         # the flag counts fit a budget of 1; the stratum count does not
         code, out, err = run_cli(worked_bundle_args(a2, tmp_path) + ["--budget", "1"], capsys)
@@ -803,12 +852,26 @@ class TestInputErrors:
                 A2_QUIVER, "summand: 1,1\n", ["verify-bundle", "--budget", "-5"],
                 "error: --budget must be at least 1, got -5",
             ),
+            (A2_QUIVER, "", ["check-odd", "--jobs", "0"], "error: --jobs must be at least 1, got 0"),
+            (
+                A2_QUIVER, "", ["check-odd", "--jobs", "-3"],
+                "error: --jobs must be at least 1, got -3",
+            ),
+            (
+                A2_QUIVER, "", ["check-odd", "--max-dim", "-5"],
+                "error: --max-dim must be at least 1, got -5",
+            ),
+            (
+                A2_QUIVER, "", ["check-odd", "--d-max", "-1"],
+                "error: --d-max must be at least 1, got -1",
+            ),
         ],
         ids=[
             "empty-vertex-list", "unknown-directive", "arrow-without-arrow", "arrow-without-dst",
             "multiplicity-0", "bad-multiplicity", "bad-root", "negative-flag-entry",
             "check-odd-cycle", "prime-25", "prime-1", "poincare-budget-0",
-            "check-odd-budget-negative", "verify-bundle-budget-negative",
+            "check-odd-budget-negative", "verify-bundle-budget-negative", "check-odd-jobs-0",
+            "check-odd-jobs-negative", "check-odd-max-dim-negative", "check-odd-d-max-negative",
         ],
     )
     def test_exits_2(self, quiver_text, rep_text, argv, err, tmp_path, capsys):

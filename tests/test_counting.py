@@ -36,6 +36,7 @@ from flagmann.reps import quotient_maps
 from helpers import (
     all_orientations,
     brute_force_flags,
+    flag_subspaces,
     multisets_upto,
     quiver_a,
     quiver_d,
@@ -258,13 +259,20 @@ class TestCountFlags:
         )
 
     def test_flag_points_are_valid(self):
-        rep = build_rep(RootMultiset(A2, (((1, 1), 1), ((1, 0), 1))), F2)
-        u = FlagType(((1, 0), (2, 1)))
-        from flagmann.extended import flag_subspaces
-
-        for point in enumerate_flags(rep, u):
-            assert tuple(tuple(map(len, step)) for step in point) == u.steps
-            flag_subspaces(rep, point)  # validates nesting and stability
+        # every point is already what the validating reference returns:
+        # canonical, arrow-stable, nested and of its flag type, which is why
+        # `verify_fiber_rank` builds on the points without checking them
+        points = 0
+        for quiver in (quiver_a(2), quiver_a(3), quiver_d(4)):
+            for ms in multisets_upto(quiver, positive_roots(quiver), 2, 4):
+                for field in (F2, F3):
+                    rep = build_rep(ms, field)
+                    for u in flag_types(rep.dims, 3):
+                        for point in enumerate_flags(rep, u):
+                            assert tuple(tuple(map(len, step)) for step in point) == u.steps
+                            assert flag_subspaces(rep, point) == sum(point, ())
+                            points += 1
+        assert points == 22981
 
     def test_weight_mismatch(self):
         with pytest.raises(InputError):

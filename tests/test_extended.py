@@ -2,8 +2,10 @@
 embedding, flags as subrepresentations, and the bundle-rank fiber check."""
 
 import hashlib
+import importlib
 import random
 from fractions import Fraction
+from itertools import cycle, islice
 
 import pytest
 
@@ -17,30 +19,32 @@ from flagmann import (
     enumerate_flags,
     ext1_dim,
     extend_quiver,
-    flag_to_subrep,
     flag_types,
     hom_dim,
     hom_dim_rep0,
     indecomposable_for_root,
     phi,
     positive_roots,
-    quotient_by_flag,
     quotient_representation,
     subrepresentation,
     verify_fiber_rank,
 )
 from flagmann.errors import InputError
-from flagmann.extended import Rep0Representation, flag_subspaces
+from flagmann.extended import Rep0Representation
 
 from helpers import (
     all_orientations,
     apply_rows,
+    flag_subspaces,
+    flag_to_subrep,
     hom_space,
     layer,
     mat_mul,
     mat_sub,
+    multisets_upto,
     quiver_a,
     quiver_d,
+    quotient_by_flag,
     vertical_map,
     zeros,
 )
@@ -422,3 +426,54 @@ class TestVerifyFiberRank:
         w_flag = FlagType(((0, 0, 0, 0), w_rep.dims))
         report = verify_fiber_rank(v_rep, w_rep, v_flag, w_flag, samples=5, seed=1)
         assert report.ok
+
+    def test_sampled_points_match_validated_references(self, monkeypatch):
+        # with every flag of a representation as the pool on one side and the
+        # zero representation on the other, the sub and quotient that
+        # `verify_fiber_rank` hands to `hom_dim_rep0` are those of the
+        # references that check each point first
+        extended = importlib.import_module("flagmann.extended")
+        monkeypatch.setattr(
+            extended,
+            "sample_flags",
+            lambda rep, u, count, rng, size: list(islice(cycle(enumerate_flags(rep, u)), count)),
+        )
+        pairs = []
+        monkeypatch.setattr(extended, "hom_dim_rep0", lambda w0, v0: pairs.append((w0, v0)) or 0)
+        flags = 0
+        for quiver in (A2, A3, quiver_d(4)):
+            for ms in multisets_upto(quiver, positive_roots(quiver), 2, 3):
+                for field in (F2, F3):
+                    rep = build_rep(ms, field)
+                    zero = build_rep(RootMultiset(quiver, ()), field)
+                    for u in flag_types(rep.dims, 3):
+                        points = list(enumerate_flags(rep, u))
+                        none = FlagType(((0,) * quiver.n,) * u.d)
+                        pairs.clear()
+                        verify_fiber_rank(rep, zero, u, none, samples=len(points))
+                        assert [v0 for _, v0 in pairs] == [
+                            quotient_by_flag(rep, point) for point in points
+                        ]
+                        pairs.clear()
+                        verify_fiber_rank(zero, rep, none, u, samples=len(points))
+                        assert [w0 for w0, _ in pairs] == [
+                            flag_to_subrep(rep, point) for point in points
+                        ]
+                        flags += len(points)
+        assert flags == 4658
+
+    def test_sampled_points_are_not_validated_again(self, monkeypatch):
+        # a point from `enumerate_flags` is canonical already; running it
+        # through the subspace validation again is the cost this spares
+        def refuse(rep, subspaces):
+            raise AssertionError("a sampled flag point was validated again")
+
+        monkeypatch.setattr(importlib.import_module("flagmann.reps"), "canonical_subspaces", refuse)
+        d4 = quiver_d(4)
+        v_rep = build_rep(RootMultiset(d4, (((1, 2, 1, 1), 1), ((0, 1, 0, 0), 1))), F3)
+        w_rep = build_rep(RootMultiset(d4, (((1, 1, 0, 0), 1), ((0, 1, 0, 0), 1))), F3)
+        v_flag = FlagType(((0, 1, 0, 0), (1, 2, 0, 1), (1, 3, 1, 1)))
+        w_flag = FlagType(((0, 1, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0)))
+        report = verify_fiber_rank(v_rep, w_rep, v_flag, w_flag, samples=6, seed=3)
+        assert report.ok
+        assert report.fiber_dims == (1,) * 6

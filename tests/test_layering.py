@@ -236,9 +236,9 @@ PUBLIC_NAMES = [
     "VerificationError", "build_rep", "classify_dynkin", "count_flags", "count_strata",
     "direct_sum", "directed_order", "engine_for", "enumerate_flags", "enumerate_splittings",
     "euler_form", "ext1_dim", "extend_quiver", "flag_differences",
-    "flag_to_subrep", "flag_types", "gaussian_binomial", "hom_dim", "hom_dim_rep0",
+    "flag_types", "gaussian_binomial", "hom_dim", "hom_dim_rep0",
     "indecomposable_for_root", "load_quiver", "parse_flag_type", "parse_quiver",
-    "parse_rep_spec", "phi", "poincare", "positive_roots", "quotient_by_flag",
+    "parse_rep_spec", "phi", "poincare", "positive_roots",
     "quotient_representation", "rigid_dimension", "sample_flags", "stratum_counts",
     "stratum_rank", "subrepresentation", "verify_fiber_rank",
 ]
