@@ -286,9 +286,9 @@ def main(argv=None) -> None:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a budget admits at least one candidate, and a campaign needs a
-        # worker, a dimension and a step; a command takes only its own options
-        for option in ("budget", "jobs", "max_dim", "d_max"):
+        # a budget admits at least one candidate, and a campaign needs a worker,
+        # a dimension, an entry and a step; a command takes only its own options
+        for option in ("budget", "jobs", "max_dim", "max_entry", "d_max"):
             value = getattr(args, option, None)
             if value is not None and value < 1:
                 raise InputError(f"--{option.replace('_', '-')} must be at least 1, got {value}")

@@ -81,10 +81,6 @@ class _Counter:
         for a, (s, t) in enumerate(self.arrows):
             self.out_arrows[s].append((a, t))
             self.in_arrows[t].append((a, s))
-        self.neighbors = [set() for _ in range(self.n)]
-        for s, t in self.arrows:
-            self.neighbors[s].add(t)
-            self.neighbors[t].add(s)
         self.memo: dict = {}
         self.tables: dict = {}
         self.spans: dict = {}
@@ -116,9 +112,10 @@ class _Counter:
             frontier = [
                 i
                 for i in range(self.n)
-                if i not in chosen and (not order or self.neighbors[i] & chosen)
+                if i not in chosen
+                and any(j in chosen for _, j in self.in_arrows[i] + self.out_arrows[i])
             ]
-            if not frontier:
+            if not frontier:  # the first vertex, or one past the walked component
                 frontier = [i for i in range(self.n) if i not in chosen]
             best = min(frontier, key=lambda i: (gap_counts[i], i))
             order.append(best)
@@ -285,9 +282,13 @@ class _Counter:
 _counters: dict = {}
 
 
-def _counter(rep: Representation) -> _Counter:
+def _counter(rep: Representation, flag_type: FlagType) -> _Counter:
+    """The counter of `rep`'s quiver and prime, once the field and then the
+    flag type's weight are checked."""
     if not isinstance(rep.field, PrimeField):
         raise InputError("the counting oracle needs a representation over a prime field")
+    if flag_type.weight != rep.dims:
+        raise InputError(f"flag type of weight {flag_type.weight} inside dimensions {rep.dims}")
     key = (rep.quiver, rep.field.p)
     ctr = _counters.get(key)
     if ctr is None:
@@ -296,16 +297,8 @@ def _counter(rep: Representation) -> _Counter:
     return ctr
 
 
-def _check_weight(rep: Representation, flag_type: FlagType) -> None:
-    if flag_type.weight != rep.dims:
-        raise InputError(
-            f"flag type of weight {flag_type.weight} inside dimensions {rep.dims}"
-        )
-
-
 def _check_budget(rep: Representation, flag_type: FlagType, budget: int | None) -> None:
-    """Reject a flag type of the wrong weight, then a search estimated over budget."""
-    _check_weight(rep, flag_type)
+    """Reject a search estimated over budget."""
     limit = DEFAULT_BUDGET if budget is None else budget
     est = candidate_estimate(rep, flag_type)
     if est > limit:
@@ -317,8 +310,7 @@ def _check_budget(rep: Representation, flag_type: FlagType, budget: int | None) 
 def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[tuple]:
     """All flags of the given type in `rep`, as concrete subspace chains:
     one tuple per step, of one canonical RREF basis per vertex."""
-    _check_weight(rep, flag_type)
-    ctr = _counter(rep)
+    ctr = _counter(rep, flag_type)
     steps = flag_type.steps
     # depth first: one subrepresentation iterator per step, each inside the last
     pending = [ctr.subreps(rep.dims, rep.maps, steps[0])]
@@ -339,8 +331,8 @@ def enumerate_flags(rep: Representation, flag_type: FlagType) -> Iterator[tuple]
 
 def count_flags(rep: Representation, flag_type: FlagType, budget: int | None = None) -> int:
     """|F_u(V)(F_p)| by exhaustive chained enumeration (quotient form)."""
+    ctr = _counter(rep, flag_type)
     _check_budget(rep, flag_type, budget)
-    ctr = _counter(rep)
     # a zero difference is a zero or repeated step: the same flag variety
     return ctr.count(rep.dims, rep.maps, tuple(filter(any, flag_differences(flag_type))))
 
@@ -369,6 +361,7 @@ def stratum_counts(
     """Counts of flags of `flag_type` grouped by the flag type of their
     intersection with the embedded subrepresentation `sub_spaces`."""
     canon = subrep_subspaces(u_rep, sub_spaces)
+    _counter(u_rep, flag_type)
     _check_budget(u_rep, flag_type, budget)
     p = u_rep.field.p
     out: dict = {}

@@ -207,16 +207,13 @@ def rowspace_leq(small: Rows, big: Rows, p: int) -> bool:
 
 
 def intersect_rowspaces(a: Rows, b: Rows, n: int, p: int) -> Rows:
-    """Zassenhaus intersection of two row spaces inside F^n."""
+    """The intersection of two RREF row spaces inside F^n: the common kernel
+    of their quotient maps."""
     if len(a) == n:
         return b
     if len(b) == n:
         return a
-    zero = tuple([0] * n) if p else tuple([Fraction(0)] * n)
-    block = [row + row for row in a] + [row + zero for row in b]
-    red, _ = rref_rows(tuple(block), p)
-    out = [row[n:] for row in red if not any(row[:n])]
-    return rref_rows(tuple(out), p)[0]
+    return null_space_rows(quotient_map_rows(a, n, p)[0] + quotient_map_rows(b, n, p)[0], n, p)
 
 
 @lru_cache(maxsize=1 << 20)

@@ -233,7 +233,6 @@ class PoincareEngine:
         self._poly: dict = {}
         self._orders: dict = {}
         self._singles: dict = {}
-        self._fields: dict = {}
 
     def single(self, root: DimVector) -> RootMultiset:
         """The one-summand multiset of a root, made once per engine."""
@@ -245,10 +244,7 @@ class PoincareEngine:
     # -- oracle hook -------------------------------------------------------
 
     def count(self, multiset: RootMultiset, u: FlagType, q: int) -> int:
-        field = self._fields.get(q)
-        if field is None:
-            field = self._fields[q] = PrimeField(q)
-        return count_flags(build_rep(multiset, field), u, self.budget)
+        return count_flags(build_rep(multiset, PrimeField(q)), u, self.budget)
 
     # -- base cases ----------------------------------------------------------
 

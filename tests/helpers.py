@@ -3,6 +3,7 @@ the test suite.  A matrix is a tuple of row tuples, as in `flagmann.linalg`."""
 
 from fractions import Fraction
 from itertools import product
+from operator import add, sub
 
 from flagmann import FlagType, Quiver, Representation, RootMultiset, enumerate_flags, positive_roots
 from flagmann.errors import InputError
@@ -12,6 +13,7 @@ from flagmann.linalg import (
     mat_mul_rows,
     null_space_rows,
     rowspace_leq,
+    rref_rows,
 )
 from flagmann.reps import _hom_system, quotient_maps, sub_maps, subrep_subspaces
 
@@ -110,6 +112,18 @@ def apply_rows(m, vec, p: int):
     if p:
         return tuple(sum(x * v for x, v in zip(row, vec)) % p for row in m)
     return tuple(Fraction(sum(x * v for x, v in zip(row, vec))) for row in m)
+
+
+def zassenhaus_intersection(a, b, n: int, p: int):
+    """The intersection of two row spaces inside F^n by the Zassenhaus block:
+    reduce the rows (a | a) and (b | 0); the rows whose first half vanished
+    span the intersection in their second half.  The reference for the
+    kernel form of `intersect_rowspaces`."""
+    zero = tuple([0] * n) if p else tuple([Fraction(0)] * n)
+    block = [row + row for row in a] + [row + zero for row in b]
+    red, _ = rref_rows(tuple(block), p)
+    out = [row[n:] for row in red if not any(row[:n])]
+    return rref_rows(tuple(out), p)[0]
 
 
 def is_stable_rowwise(rep: Representation, subspaces) -> bool:
@@ -249,3 +263,88 @@ def quotient_by_flag(v_rep: Representation, point: tuple) -> Rep0Representation:
     subs = flag_subspaces(v_rep, point)
     dims, maps = quotient_maps(ext.quiver.arrow_indices, dims, maps, subs, v_rep.field.char)
     return Rep0Representation(ext, Representation(ext.quiver, v_rep.field, dims, maps))
+
+
+def poly_mul(f: dict, g: dict) -> dict:
+    """The product of two polynomials kept as {exponent tuple: coefficient}."""
+    out: dict = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            e = tuple(map(add, a, b))
+            out[e] = out.get(e, 0) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_div(num: dict, den: dict) -> dict:
+    """The exact quotient num / den, by long division on lex-largest terms."""
+    lead = max(den)
+    rest, out = dict(num), {}
+    while rest:
+        top = max(rest)
+        c, r = divmod(rest[top], den[lead])
+        e = tuple(map(sub, top, lead))
+        assert not r and min(e) >= 0, "inexact division"
+        out[e] = c
+        for d, x in den.items():
+            k = tuple(map(add, e, d))
+            v = rest.get(k, 0) - c * x
+            if v:
+                rest[k] = v
+            else:
+                rest.pop(k, None)
+    return out
+
+
+def _mutate(m: list, b: list, k: int, top: bool) -> list:
+    """Rows `m` of an extended exchange matrix whose top part is `b`,
+    mutated at k; `top` says whether `m` is that top part."""
+    return [
+        [
+            -x if j == k or (top and i == k)
+            else x + ((row[k] > 0) - (row[k] < 0)) * max(row[k] * b[k][j], 0)
+            for j, x in enumerate(row)
+        ]
+        for i, row in enumerate(m)
+    ]
+
+
+def f_polynomials(quiver: Quiver, roots) -> dict:
+    """The F-polynomial of each indecomposable whose dimension vector is in
+    `roots`, as {exponent tuple: coefficient}, keyed by that vector.
+
+    Uses the quiver's arrows alone, by the Fomin-Zelevinsky recurrence with
+    principal coefficients ("Cluster algebras IV", eq. (5.3)): with
+    b_ij = #(i->j) - #(j->i) and C the coefficient rows, mutating at k gives
+    F'_k = (y^[C_k]+ prod F_i^[b_ik]+ + y^[-C_k]+ prod F_i^[-b_ik]+) / F_k.
+    It mutates again and again at a sink of the current exchange matrix, the
+    least often mutated one first, and names each new F-polynomial by its
+    top monomial y^(dim M).
+    """
+    n = len(quiver.vertices)
+    index = {v: i for i, v in enumerate(quiver.vertices)}
+    b = [[0] * n for _ in range(n)]
+    for s, t in quiver.arrows:
+        b[index[s]][index[t]] += 1
+        b[index[t]][index[s]] -= 1
+    c = [[int(i == j) for j in range(n)] for i in range(n)]
+    f = [{(0,) * n: 1}] * n
+    made = [0] * n
+    found: dict = {}
+    while not set(roots) <= found.keys():
+        assert sum(made) <= 4 * n * (len(roots) + n), "mutation found no new roots"
+        k = min((i for i in range(n) if max(b[i]) <= 0), key=lambda i: (made[i], i))
+        made[k] += 1
+        terms = []
+        for sign in (1, -1):
+            term = {tuple(max(sign * c[j][k], 0) for j in range(n)): 1}
+            for i in range(n):
+                for _ in range(max(sign * b[i][k], 0)):
+                    term = poly_mul(term, f[i])
+            terms.append(term)
+        num = dict(terms[0])
+        for e, x in terms[1].items():
+            num[e] = num.get(e, 0) + x
+        f[k] = _poly_div(num, f[k])
+        found.setdefault(max(f[k], key=sum), f[k])
+        b, c = _mutate(b, b, k, True), _mutate(c, b, k, False)
+    return {root: found[root] for root in roots}

@@ -862,6 +862,14 @@ class TestInputErrors:
                 "error: --max-dim must be at least 1, got -5",
             ),
             (
+                A2_QUIVER, "", ["check-odd", "--max-entry", "0"],
+                "error: --max-entry must be at least 1, got 0",
+            ),
+            (
+                A2_QUIVER, "", ["check-odd", "--max-entry", "-2"],
+                "error: --max-entry must be at least 1, got -2",
+            ),
+            (
                 A2_QUIVER, "", ["check-odd", "--d-max", "-1"],
                 "error: --d-max must be at least 1, got -1",
             ),
@@ -871,7 +879,8 @@ class TestInputErrors:
             "multiplicity-0", "bad-multiplicity", "bad-root", "negative-flag-entry",
             "check-odd-cycle", "prime-25", "prime-1", "poincare-budget-0",
             "check-odd-budget-negative", "verify-bundle-budget-negative", "check-odd-jobs-0",
-            "check-odd-jobs-negative", "check-odd-max-dim-negative", "check-odd-d-max-negative",
+            "check-odd-jobs-negative", "check-odd-max-dim-negative", "check-odd-max-entry-0",
+            "check-odd-max-entry-negative", "check-odd-d-max-negative",
         ],
     )
     def test_exits_2(self, quiver_text, rep_text, argv, err, tmp_path, capsys):

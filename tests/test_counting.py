@@ -207,7 +207,7 @@ class TestCountFlags:
         monkeypatch.setattr(counting, "_MEMO_BOUND", 2)
         for (rep, u), want in zip(sweep, expected):
             assert count_flags(rep, u) == want
-            ctr = counting._counter(rep)
+            ctr = counting._counter(rep, u)
             assert len(ctr.memo) + len(ctr.tables) <= 2 + 1 + u.d
 
     def test_aborted_count_stores_no_table_and_no_memo_entry(self, monkeypatch):
@@ -227,7 +227,7 @@ class TestCountFlags:
         monkeypatch.setattr(counting, "quotient_maps", failing)
         with pytest.raises(RuntimeError, match="interrupted"):
             count_flags(rep, u)
-        ctr = counting._counter(rep)
+        ctr = counting._counter(rep, u)
         assert (rep.dims, maps, diffs) not in ctr.memo
         assert (rep.dims, maps, diffs[0]) not in ctr.tables
         monkeypatch.setattr(counting, "quotient_maps", quotient_maps)
@@ -493,7 +493,7 @@ class TestIntervalTuples:
                     want = len(brute_force_flags(rep, u))
                     assert count_flags(rep, u) == want, u.steps
                     nonzero += want > 0
-                    ctr = counting._counter(rep)
+                    ctr = counting._counter(rep, u)
                     assert ctr.span_entries == sum(map(len, ctr.spans.values())) <= 8
                     checked += 1
         assert checked >= 90 and nonzero >= 40 and len(clears) >= 50
@@ -627,6 +627,23 @@ class TestBudget:
         message = "^the counting oracle needs a representation over a prime field$"
         with pytest.raises(InputError, match=message):
             count_flags(rep, FlagType(((1,), (2,))))
+
+    @pytest.mark.parametrize("entry", ["count_flags", "enumerate_flags", "stratum_counts"])
+    def test_field_then_weight_then_budget(self, entry):
+        # each entry checks the field, then the flag type's weight, then the
+        # budget; the enumeration checks on its first step
+        enter = {
+            "count_flags": lambda rep, u: count_flags(rep, u, budget=1),
+            "enumerate_flags": lambda rep, u: next(enumerate_flags(rep, u)),
+            "stratum_counts": lambda rep, u: stratum_counts(rep, ((),), u, budget=1),
+        }[entry]
+        wrong = FlagType(((1,), (2,)))
+        with pytest.raises(InputError, match="^the counting oracle needs a representation"):
+            enter(one_vertex_rep(3, QQ), wrong)
+        rep = one_vertex_rep(3, F2)
+        assert candidate_estimate(rep, wrong) > 1
+        with pytest.raises(InputError, match=r"^flag type of weight \(2,\) inside dimensions \(3,\)$"):
+            enter(rep, wrong)
 
 
 class TestSampling:

@@ -23,7 +23,7 @@ from flagmann.linalg import (
     subspaces_between,
 )
 
-from helpers import apply_rows, zeros
+from helpers import apply_rows, zassenhaus_intersection, zeros
 
 
 class TestFields:
@@ -324,6 +324,53 @@ class TestRowspaceToolkit:
         assert intersect_rowspaces(a, b, 3, p) == ()
         c = ((1, 0, 0), (0, 1, 0))
         assert intersect_rowspaces(c, a, 3, p) == a
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 0])
+    def test_intersection_matches_zassenhaus(self, p):
+        # seeded pairs of RREF bases: the zero space, the whole space, equal,
+        # nested (either way round) and transverse pairs, and any other
+        rng = random.Random(p)
+
+        def basis(n, k):
+            if p:
+                rows = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+            else:
+                rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(k)]
+            return rref_rows(tuple(map(tuple, rows)), p)[0]
+
+        kinds = set()
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            a = basis(n, rng.randint(0, n))
+            kind = rng.choice(("zero", "whole", "equal", "nested", "random"))
+            if kind == "zero":
+                b = ()
+            elif kind == "whole":
+                b = identity_rows(n, p)
+            elif kind == "equal":
+                b = a
+            elif kind == "nested" and a:
+                b = rref_rows(mat_mul_rows(basis(rng.randint(1, 3), len(a)), a, p), p)[0]
+            else:
+                b = basis(n, rng.randint(0, n))
+            if rng.random() < 0.5:
+                a, b = b, a
+            got = intersect_rowspaces(a, b, n, p)
+            assert got == zassenhaus_intersection(a, b, n, p)
+            assert rref_rows(got, p)[0] == got
+            if not a or not b:
+                kinds.add("zero")
+            if n in (len(a), len(b)):
+                kinds.add("whole")
+            if a == b:
+                kinds.add("equal")
+            if a != b and a and b and got in (a, b):
+                kinds.add("nested")
+            if a and b and not got:
+                kinds.add("transverse")
+            if got and got not in (a, b):
+                kinds.add("proper")
+        assert kinds == {"zero", "whole", "equal", "nested", "transverse", "proper"}
 
     def test_null_space_of_empty(self):
         assert len(null_space_rows((), 3, 2)) == 3
